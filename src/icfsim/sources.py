@@ -210,13 +210,48 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int):
     return ia, ib, theta
 
 
-def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray:
-    """Instantaneous intensities at detectors with phase offsets ``delta``.
+def detector_rows(model: SourceModel, delta, ia, ib, theta):
+    """Yield the instantaneous intensity at each detector in turn.
 
     I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j), where E_j is the
-    coherence-envelope factor.  Returns shape (n_detectors, n_samples).
+    coherence-envelope factor.  It is evaluated as
+    (Ia + Ib) + E_j cos(delta_j) c - E_j sin(delta_j) s with
+    c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib) sin(theta), so each
+    sample costs two trig calls whatever the number of detectors.  ``ia``,
+    ``ib`` and ``theta`` are arrays of one shape, which every row has.  All
+    rows are written into one buffer: use a row before asking for the next.
     """
     delta = np.asarray(delta, dtype=float)
     env = coherence_envelope(model, delta)
-    amp = 2.0 * np.sqrt(ia * ib)
-    return ia + ib + (env[:, None] * amp) * np.cos(theta + delta[:, None])
+    # Inputs are released as soon as they are used, so a caller that passes
+    # temporaries gets their memory back before the rows are formed.
+    base = ia + ib
+    amp = ia * ib
+    del ia, ib
+    np.sqrt(amp, out=amp)
+    amp *= 2.0
+    c = np.cos(theta)
+    c *= amp
+    s = np.sin(theta)
+    s *= amp
+    del theta, amp
+    row = np.empty_like(base)
+    term = np.empty_like(base)
+    for kc, ks in zip(env * np.cos(delta), env * np.sin(delta)):
+        np.multiply(c, kc, out=row)
+        row += base
+        np.multiply(s, ks, out=term)
+        row -= term
+        yield row
+
+
+def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray:
+    """Instantaneous intensities at detectors with phase offsets ``delta``.
+
+    The rows of ``detector_rows`` stacked: shape (n_detectors, n_samples).
+    """
+    delta = np.asarray(delta, dtype=float)
+    out = np.empty((len(delta),) + np.shape(theta))
+    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta)):
+        out[j] = row
+    return out

@@ -96,6 +96,14 @@ class TestMc:
         assert 0.30 < vis < 0.60
 
 
+    def test_zero_samples_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "mc", "--samples", "0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out.exists()
+
+
 class TestLimits:
     def test_six_row_table(self, capsys):
         code, text, _ = run(capsys, "limits")

@@ -44,6 +44,21 @@ class TestEstimateIcf:
             estimate_icf(COHERENT, [0.0, 0.0], 1000, n_batches=5, seed=1)
         with pytest.raises(BadBatching):
             estimate_icf(COHERENT, [0.0, 0.0], 1001, n_batches=100, seed=1)
+        # fewer samples than batches: no sample in a batch, or a negative count
+        for n_samples in (0, -100, 50):
+            with pytest.raises(BadBatching):
+                estimate_icf(COHERENT, [0.0, 0.0], n_samples, n_batches=100, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        pattern = ScanPattern(order=3, scheme="symmetric_opposite",
+                              grid=np.linspace(0, 2 * np.pi, 3))
+        with pytest.raises(ValueError, match="workers"):
+            estimate_icf(COHERENT, [0.0, 0.0], 1000, n_batches=10, seed=1,
+                         workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            estimate_scan(COHERENT, pattern, 1000, n_batches=10, seed=1,
+                          workers=workers)
 
     @pytest.mark.parametrize("model,delta", [
         (THERMAL, [0.9, 0.0, -0.9]),
@@ -80,6 +95,45 @@ class TestDeterminism:
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.stderrs, threaded.stderrs)
 
+    def test_point_estimate_worker_count_independent(self):
+        # 100 batches of 1000 samples make several tasks, the last one short
+        delta = [0.5, 0.0, -0.5, 1.1]
+        serial = estimate_icf(THERMAL, delta, 100_000, seed=12)
+        threaded = estimate_icf(THERMAL, delta, 100_000, seed=12, workers=2)
+        assert serial == threaded
+
+    @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
+    def test_batch_sums_independent_of_task_split(self, model):
+        from icfsim.montecarlo import _task_sums
+        delta = np.array([0.9, 0.0, -0.9, 1.7])
+        seeds = np.random.SeedSequence(61).spawn(21)
+        split = {}
+        for per_task in (1, 3, 7):
+            parts = [_task_sums(model, delta, seeds[k:k + per_task], 999)
+                     for k in range(0, len(seeds), per_task)]
+            split[per_task] = (np.concatenate([p for p, _ in parts]),
+                               np.concatenate([s for _, s in parts]))
+        for per_task in (3, 7):
+            assert np.array_equal(split[per_task][0], split[1][0])
+            assert np.array_equal(split[per_task][1], split[1][1])
+
+    def test_one_pool_per_scan_call(self, monkeypatch):
+        import icfsim.montecarlo as mc
+        created = []
+
+        class SpyPool(mc.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("max_workers", args[0] if args else None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", SpyPool)
+        pattern = ScanPattern(order=3, scheme="symmetric_opposite",
+                              grid=np.linspace(0, 2 * np.pi, 7))
+        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9)
+        assert created == []
+        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=2)
+        assert created == [2]
+
     def test_point_estimate_independent_of_grid(self):
         # substreams are keyed by grid index from the run seed, so a point
         # estimate depends only on its index
@@ -92,16 +146,16 @@ class TestDeterminism:
         assert np.array_equal(p1.values[:3], p2.values)
 
     def test_batch_mean_set_invariant_under_merge_order(self):
-        from icfsim.montecarlo import _batch_sums, _ratio
+        from icfsim.montecarlo import _task_sums, _ratio
         delta = np.array([0.3, 0.0, -0.3])
         root = np.random.SeedSequence(55)
         seeds = root.spawn(20)
-        ratios = [_ratio(*_batch_sums(THERMAL, delta, s, 1000), count=1000)
+        ratios = [_ratio(*_task_sums(THERMAL, delta, [s], 1000), count=1000)[0]
                   for s in seeds]
         rng = np.random.default_rng(0)
         for _ in range(5):
             order = rng.permutation(20)
-            shuffled = [_ratio(*_batch_sums(THERMAL, delta, seeds[i], 1000), count=1000)
+            shuffled = [_ratio(*_task_sums(THERMAL, delta, [seeds[i]], 1000), count=1000)[0]
                         for i in order]
             assert sorted(shuffled) == sorted(ratios)
 
@@ -134,11 +188,11 @@ class TestEstimateScan:
 
 class TestStderrScaling:
     def test_stderr_is_batch_std_over_sqrt_batches(self):
-        from icfsim.montecarlo import _batch_sums, _ratio
+        from icfsim.montecarlo import _task_sums, _ratio
         delta = np.array([0.6, 0.0])
         est = estimate_icf(THERMAL, delta, 20_000, n_batches=20, seed=77)
         seeds = np.random.SeedSequence(77).spawn(20)
-        ratios = np.array([_ratio(*_batch_sums(THERMAL, delta, s, 1000), count=1000)
+        ratios = np.array([_ratio(*_task_sums(THERMAL, delta, [s], 1000), count=1000)[0]
                            for s in seeds])
         assert est.stderr == pytest.approx(ratios.std(ddof=1) / math.sqrt(20),
                                            rel=1e-12)

@@ -21,6 +21,7 @@ from icfsim.errors import (
     NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
+from icfsim.sources import detector_intensities
 
 
 def exponential_moment(k):
@@ -172,6 +173,26 @@ class TestEnvelope:
         env = coherence_envelope(model, [0.0, 2.0])
         assert env[0] == 1.0
         assert env[1] == pytest.approx(math.exp(-0.5))
+
+
+class TestDetectorIntensities:
+    @pytest.mark.parametrize("width", [None, 1.5])
+    def test_two_trig_form_matches_direct_formula(self, width):
+        model = SourceModel.thermal(coherence_width=width)
+        rng = np.random.default_rng(8)
+        ia, ib, theta = sample_batch(model, rng, 100_000)
+        delta = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
+        inputs = [x.copy() for x in (ia, ib, theta)]
+        env = 1.0 if width is None else np.exp(-delta[:, None] ** 2 / (2 * width ** 2))
+        direct = ia + ib + 2 * np.sqrt(ia * ib) * env * np.cos(theta + delta[:, None])
+        got = detector_intensities(model, delta, ia, ib, theta)
+        assert got.shape == direct.shape
+        # I_j cancels towards 0 where Ia ~ Ib and theta + delta_j ~ pi, where
+        # neither form keeps a small error relative to I_j itself; the error
+        # is measured relative to the size of the terms, Ia + Ib.
+        assert np.max(np.abs(got - direct) / (ia + ib)) < 1e-12
+        for before, after in zip(inputs, (ia, ib, theta)):
+            assert np.array_equal(before, after)
 
 
 class TestSerialization:
