@@ -28,7 +28,7 @@ from .expansion import (
     term_count,
     verify_closed_form,
 )
-from .frameio import load_frames, save_frames
+from .frameio import FrameReader, load_frames, save_frames
 from .frames import (
     FrameOptics,
     FrameStack,

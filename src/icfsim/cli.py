@@ -31,7 +31,9 @@ from .analytic import (
 from .constants import DEFAULT_SEED
 from .errors import IcfSimError, ReferenceOutOfRange
 from .expansion import verify_closed_form
-from .frameio import load_frames, save_frames
+# load_frames is not called here; it stays importable from this module
+# because perfbench's traced run wraps it under this name.
+from .frameio import FrameReader, load_frames, save_frames  # noqa: F401
 from .frames import (
     FrameOptics,
     HarmonicModulation,
@@ -178,17 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file values, and explicit flags (flags win)."""
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Merge defaults, config-file values, and explicit flags (flags win).
+
+    A config key the subcommand does not take is a usage error.
+    """
     opts = dict(_DEFAULTS[args.command])
     config = getattr(args, "config", None)
     if config:
         with open(config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            parser.error(f"config file {config} must hold a JSON object")
         for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key in opts:
-                opts[key] = value
+            name = key.replace("-", "_")
+            if name not in opts:
+                parser.error(f"unknown key {key!r} in config file {config} "
+                             f"for '{args.command}'")
+            opts[name] = value
     for key, value in vars(args).items():
         if key in ("command", "config", "func"):
             continue
@@ -375,14 +384,21 @@ def _parse_roi(text: str, frame_shape: tuple, ref_col) -> RoiSpec:
 
 
 def cmd_process(opts: dict) -> int:
-    stack = load_frames(opts["stack"], fringe_period_px=opts["period_px"])
-    roi = _parse_roi(opts["roi"], stack.shape, opts["ref_col"])
-    series = roi_average(stack, roi)
+    reader = FrameReader(opts["stack"], fringe_period_px=opts["period_px"])
+    roi = _parse_roi(opts["roi"], reader.shape, opts["ref_col"])
+    series = roi_average(reader, roi)
+    if series.saturated_pixels:
+        pixels = series.n_frames * roi.width * roi.height
+        full_scale = 2 ** reader.metadata["bit_depth"] - 1
+        print(f"warning: {series.saturated_pixels} of {pixels} ROI pixels "
+              f"({series.saturated_pixels / pixels:.2%}) are saturated at "
+              f"{full_scale}; the correlation visibilities are biased low",
+              file=sys.stderr)
     profile = mean_profile(series)
 
     xs = (np.arange(series.width) - series.reference_column) * series.pixel_to_phase
     intensity = InterferencePattern(xs=xs, values=profile)
-    fringe = fringe_visibility(profile, stack.fringe_period_px)
+    fringe = fringe_visibility(profile, reader.fringe_period_px)
     print(f"mean-intensity fringe visibility = {fringe:.4f}")
 
     out = opts["out"]
@@ -429,7 +445,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _resolve(args)
+        opts = _resolve(args, parser)
         return _COMMANDS[args.command](opts)
     except IcfSimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InconsistentDimensions, MalformedFile
-from .frames import FrameStack, estimate_fringe_period
+from .errors import BadOptics, InconsistentDimensions, MalformedFile
+from .frames import FrameStack, check_pixels, estimate_fringe_period
 
 MANIFEST_NAME = "manifest.json"
 _WHITESPACE = b" \t\r\n"
@@ -161,50 +161,83 @@ def save_frames(stack: FrameStack, directory, fmt: str = "pgm") -> Path:
     return manifest_path
 
 
+class FrameReader:
+    """One pass over a stack on disk, one checked frame at a time.
+
+    Parses the manifest (a path to it or to its directory) and reads the
+    first frame for the shape, and for the fringe period when neither the
+    caller nor the manifest gives one; a supplied ``fringe_period_px`` wins
+    over the manifest value.  Iterating yields every frame in manifest
+    order.  Each frame must match the first frame's shape
+    (``InconsistentDimensions``) and pass ``check_pixels`` on its values as
+    read (``MalformedFile`` naming the frame file) before a bit-depth-limited
+    stack is cast to its integer dtype.
+    """
+
+    def __init__(self, path, fmt: str | None = None,
+                 fringe_period_px: float | None = None):
+        path = Path(path)
+        manifest_path = path / MANIFEST_NAME if path.is_dir() else path
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedFile(manifest_path, f"invalid manifest JSON: {exc}") from None
+        file_fmt = manifest.get("format")
+        if fmt is not None and file_fmt is not None and fmt != file_fmt:
+            raise MalformedFile(manifest_path,
+                                f"manifest format {file_fmt!r} does not match requested {fmt!r}")
+        self._format = fmt or file_fmt
+        if self._format not in ("pgm", "csv"):
+            raise MalformedFile(manifest_path, f"unknown frame format {self._format!r}")
+        names = manifest.get("frames") or []
+        if not names:
+            raise MalformedFile(manifest_path, "manifest lists no frames")
+        self.metadata = manifest.get("metadata") or {}
+        bit_depth = self.metadata.get("bit_depth")
+        if bit_depth is not None and not (isinstance(bit_depth, int) and 1 <= bit_depth <= 32):
+            raise MalformedFile(manifest_path, f"bit_depth must be an integer in 1..32, "
+                                               f"got {bit_depth!r}")
+        self._cast = None if bit_depth is None else (
+            np.uint16 if bit_depth <= 16 else np.uint32)
+        self.paths = [manifest_path.parent / name for name in names]
+        self._first = self._read(self.paths[0])
+        self.shape = self._first.shape
+        self.dtype = self._first.dtype
+        period = fringe_period_px or manifest.get("fringe_period_px")
+        if period is None:
+            period = estimate_fringe_period(self._first)
+        self.fringe_period_px = float(period)
+        if not self.fringe_period_px > 0:
+            raise BadOptics(f"fringe_period_px must be positive, got {self.fringe_period_px!r}")
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.paths)
+
+    def _read(self, path: Path) -> np.ndarray:
+        frame = read_pgm(path) if self._format == "pgm" else read_frame_csv(path)
+        try:
+            check_pixels(frame, self.metadata.get("bit_depth"))
+        except ValueError as exc:
+            raise MalformedFile(path, str(exc)) from None
+        return frame if self._cast is None else frame.astype(self._cast, copy=False)
+
+    def __iter__(self):
+        yield self._first
+        for path in self.paths[1:]:
+            frame = self._read(path)
+            if frame.shape != self.shape:
+                raise InconsistentDimensions(
+                    f"{path}: frame shape {frame.shape} does not match {self.shape}")
+            yield frame
+
+
 def load_frames(path, fmt: str | None = None,
                 fringe_period_px: float | None = None) -> FrameStack:
-    """Load a stack from a manifest (or a directory containing one).
-
-    A supplied ``fringe_period_px`` wins over the manifest value; if neither
-    is available the period is fitted from the first frame's spectrum.
-    """
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME if path.is_dir() else path
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFile(manifest_path, f"invalid manifest JSON: {exc}") from None
-    file_fmt = manifest.get("format")
-    if fmt is not None and file_fmt is not None and fmt != file_fmt:
-        raise MalformedFile(manifest_path,
-                            f"manifest format {file_fmt!r} does not match requested {fmt!r}")
-    file_fmt = fmt or file_fmt
-    if file_fmt not in ("pgm", "csv"):
-        raise MalformedFile(manifest_path, f"unknown frame format {file_fmt!r}")
-    names = manifest.get("frames") or []
-    if not names:
-        raise MalformedFile(manifest_path, "manifest lists no frames")
-    reader = read_pgm if file_fmt == "pgm" else read_frame_csv
-    base = manifest_path.parent
-    frames = []
-    shape = None
-    for name in names:
-        frame = reader(base / name)
-        if shape is None:
-            shape = frame.shape
-        elif frame.shape != shape:
-            raise InconsistentDimensions(
-                f"{name}: frame shape {frame.shape} does not match {shape}")
-        frames.append(frame)
-    stack = np.stack(frames)
-    metadata = manifest.get("metadata") or {}
-    bit_depth = metadata.get("bit_depth")
-    if bit_depth is not None and np.all(stack == np.rint(stack)):
-        stack = stack.astype(np.uint16 if bit_depth <= 16 else np.uint32)
-    period = fringe_period_px or manifest.get("fringe_period_px")
-    if period is None:
-        period = estimate_fringe_period(stack[0])
-    return FrameStack(frames=stack, fringe_period_px=float(period),
-                      metadata=metadata)
+    """Load a whole stack into memory; arguments as for ``FrameReader``."""
+    reader = FrameReader(path, fmt, fringe_period_px)
+    frames = np.empty((reader.n_frames, *reader.shape), dtype=reader.dtype)
+    for j, frame in enumerate(reader):
+        frames[j] = frame
+    return FrameStack(frames=frames, fringe_period_px=reader.fringe_period_px,
+                      metadata=reader.metadata)

@@ -95,6 +95,23 @@ class FrameOptics:
     frame_height: int = 50
 
 
+def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
+    """Raise ValueError unless the pixels are nonnegative and, under a bit
+    depth, integral and inside its range.
+
+    Run it on values as read, before any cast to an integer dtype, which
+    would wrap out-of-range values silently.
+    """
+    if frames.min() < 0:
+        raise ValueError("pixel values must be nonnegative")
+    if bit_depth is not None:
+        if frames.max() >= 2 ** bit_depth:
+            raise ValueError(f"pixel values exceed the {bit_depth}-bit range")
+        if not np.issubdtype(frames.dtype, np.integer):
+            if np.any(frames != np.rint(frames)):
+                raise ValueError("bit-depth-limited stacks must hold integer values")
+
+
 @dataclass(frozen=True)
 class FrameStack:
     """n single-pulse frames plus the optical metadata needed to process them."""
@@ -109,15 +126,7 @@ class FrameStack:
             raise ValueError(f"frames must be a (n, height, width) array, got shape {frames.shape}")
         if not self.fringe_period_px > 0:
             raise BadOptics(f"fringe_period_px must be positive, got {self.fringe_period_px!r}")
-        if frames.min() < 0:
-            raise ValueError("pixel values must be nonnegative")
-        bit_depth = self.metadata.get("bit_depth")
-        if bit_depth is not None:
-            if frames.max() >= 2 ** bit_depth:
-                raise ValueError(f"pixel values exceed the {bit_depth}-bit range")
-            if not np.issubdtype(frames.dtype, np.integer):
-                if np.any(frames != np.rint(frames)):
-                    raise ValueError("bit-depth-limited stacks must hold integer values")
+        check_pixels(frames, self.metadata.get("bit_depth"))
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -150,6 +159,8 @@ class ProcessedSeries:
     profiles: np.ndarray  # (n_frames, roi_width)
     reference_column: int
     pixel_to_phase: float  # 2*pi / fringe period
+    # ROI pixels at the full-scale count 2**bit_depth - 1 (0 without a bit depth)
+    saturated_pixels: int = 0
 
     @property
     def n_frames(self) -> int:
@@ -182,6 +193,8 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     optics = optics or FrameOptics()
     if n < 1:
         raise ValueError(f"need at least one frame, got n = {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not optics.fringe_period_px >= 4:
         raise BadOptics(
             f"fringe_period_px must be >= 4 px (Nyquist margin), got {optics.fringe_period_px!r}")
@@ -258,10 +271,15 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
                       metadata=metadata)
 
 
-def roi_average(stack: FrameStack, roi: RoiSpec | None = None) -> ProcessedSeries:
-    """Row-average the ROI of every frame into 1-D intensity profiles."""
+def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
+    """Row-average the ROI of every frame into 1-D intensity profiles.
+
+    ``stack`` is a FrameStack or a ``frameio.FrameReader``.  Frames are
+    reduced one at a time, so a reader never holds more than one frame
+    besides the profiles.  ROI pixels at full scale are counted on the way.
+    """
     roi = roi or RoiSpec()
-    n, height, width = stack.frames.shape
+    height, width = stack.shape
     if (roi.x0 < 0 or roi.y0 < 0 or roi.width < 1 or roi.height < 1
             or roi.x0 + roi.width > width or roi.y0 + roi.height > height):
         raise RoiOutOfBounds(
@@ -270,11 +288,20 @@ def roi_average(stack: FrameStack, roi: RoiSpec | None = None) -> ProcessedSerie
     if not 0 <= roi.reference_column < roi.width:
         raise RoiOutOfBounds(
             f"reference column {roi.reference_column} outside ROI width {roi.width}")
-    block = stack.frames[:, roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
-    profiles = block.mean(axis=1, dtype=np.float64)
+    bit_depth = stack.metadata.get("bit_depth")
+    full_scale = 2 ** bit_depth - 1 if bit_depth is not None else None
+    frames = stack.frames if isinstance(stack, FrameStack) else stack
+    profiles = np.empty((stack.n_frames, roi.width))
+    saturated = 0
+    for j, frame in enumerate(frames):
+        crop = frame[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
+        crop.mean(axis=0, dtype=np.float64, out=profiles[j])
+        if full_scale is not None:
+            saturated += int(np.count_nonzero(crop == full_scale))
     return ProcessedSeries(profiles=profiles,
                            reference_column=roi.reference_column,
-                           pixel_to_phase=2.0 * np.pi / stack.fringe_period_px)
+                           pixel_to_phase=2.0 * np.pi / stack.fringe_period_px,
+                           saturated_pixels=saturated)
 
 
 def mean_profile(series: ProcessedSeries) -> np.ndarray:

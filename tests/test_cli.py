@@ -188,6 +188,39 @@ class TestFramesCli:
         assert (tmp_path / "run_g3.svg").exists()
         assert (tmp_path / "run_g4.svg").exists()
 
+    def test_out_of_range_csv_pixel_exit_1(self, tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "3", "--frame-height", "4",
+            "--frame-width", "64", "--format", "csv", "--out", str(stack_dir))
+        frame = stack_dir / "frame_0001.csv"
+        rows = frame.read_text().splitlines()
+        rows[2] = "70000," + rows[2].split(",", 1)[1]
+        frame.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, "process", str(stack_dir),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error: ") and "frame_0001.csv" in err
+        assert "16-bit range" in err
+
+    @pytest.mark.parametrize("kind, warns", [("thermal", True), ("coherent", False)])
+    def test_saturation_reported_on_stderr(self, tmp_path, capsys, kind, warns):
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--kind", kind, "--frames", "200", "--frame-height", "8",
+            "--out", str(stack_dir))
+        code, text, err = run(capsys, "process", str(stack_dir),
+                              "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert "saturated" not in text
+        if not warns:
+            assert err == ""
+            return
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert " of 960000 ROI pixels (" in lines[0]
+        assert "saturated at 65535" in lines[0]
+        fraction = float(lines[0].split("(")[1].split("%")[0]) / 100
+        assert 0.002 < fraction < 0.05
+
 
 class TestConfig:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):
@@ -213,3 +246,16 @@ class TestConfig:
                             "--order", "3", "--out", str(tmp_path / "c.csv"))
         assert code == 0
         assert "visibility = 0.6000000" in text
+
+    @pytest.mark.parametrize("content, message", [
+        ({"kind": "thermal", "grid-pionts": 181}, "'grid-pionts'"),
+        (["kind", "thermal"], "must hold a JSON object"),
+    ])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, content, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as err:
+            main(["analytic", "--config", str(config), "--out", str(tmp_path / "a.csv")])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()

@@ -1,18 +1,23 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from icfsim import (
     FrameOptics,
+    FrameReader,
     FrameStack,
     NoiseModel,
+    RoiSpec,
     SourceModel,
     load_frames,
+    roi_average,
     save_frames,
     synth_frames,
 )
-from icfsim.errors import InconsistentDimensions, MalformedFile
+from icfsim.cli import main
+from icfsim.errors import BadOptics, InconsistentDimensions, MalformedFile
 from icfsim.frameio import read_frame_csv, read_pgm, write_frame_csv, write_pgm
 
 
@@ -182,3 +187,90 @@ class TestStackRoundTrip:
         manifest = save_frames(stack, tmp_path / "stack", fmt="pgm")
         with pytest.raises(MalformedFile):
             load_frames(manifest, fmt="csv")
+
+
+def write_stack(directory, frames, fmt, metadata, period=4.0):
+    directory.mkdir()
+    names = []
+    for j, frame in enumerate(frames):
+        names.append(f"frame_{j:04d}.{fmt}")
+        (write_pgm if fmt == "pgm" else write_frame_csv)(directory / names[-1], frame)
+    (directory / "manifest.json").write_text(json.dumps({
+        "format": fmt, "fringe_period_px": period, "frames": names,
+        "metadata": metadata}))
+    return directory
+
+
+class TestFrameReader:
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    @pytest.mark.parametrize("roi", [None, RoiSpec(x0=7, y0=2, width=40, height=5,
+                                                   reference_column=21)])
+    @pytest.mark.parametrize("period", [20.0, None])
+    def test_profiles_match_loaded_stack(self, tmp_path, fmt, roi, period):
+        stack = synth_frames(SourceModel.thermal(),
+                             FrameOptics(fringe_period_px=20.0, frame_width=64,
+                                         frame_height=8),
+                             n=12, seed=11)
+        manifest = save_frames(stack, tmp_path / "stack", fmt=fmt)
+        data = json.loads(manifest.read_text())
+        data["fringe_period_px"] = period
+        manifest.write_text(json.dumps(data))
+        roi = roi or RoiSpec(width=64, height=8, reference_column=32)
+        streamed = roi_average(FrameReader(manifest), roi)
+        loaded = load_frames(manifest)
+        in_memory = roi_average(loaded, roi)
+        assert np.array_equal(streamed.profiles, in_memory.profiles)
+        assert streamed.pixel_to_phase == in_memory.pixel_to_phase
+        assert streamed.saturated_pixels == in_memory.saturated_pixels
+        block = loaded.frames[:, roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
+        assert np.array_equal(streamed.profiles, block.mean(axis=1, dtype=np.float64))
+
+    def test_mismatched_shape_mid_stack(self, tmp_path):
+        frames = [np.zeros((4, 6), dtype=np.uint16)] * 5
+        frames[2] = np.zeros((4, 7), dtype=np.uint16)
+        d = write_stack(tmp_path / "stack", frames, "pgm", {})
+        with pytest.raises(InconsistentDimensions, match="frame_0002"):
+            load_frames(d)
+        with pytest.raises(InconsistentDimensions, match="frame_0002"):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    def test_nonpositive_manifest_period_rejected(self, tmp_path):
+        frames = [np.zeros((4, 6), dtype=np.uint16)] * 2
+        d = write_stack(tmp_path / "stack", frames, "pgm", {}, period=-4.0)
+        with pytest.raises(BadOptics):
+            FrameReader(d)
+
+    @pytest.mark.parametrize("fmt, bit_depth, value", [
+        ("csv", 16, 70000.0),   # would wrap to 4464 if cast first
+        ("csv", 16, 3.5),       # not integral
+        ("pgm", 12, 5000),      # inside 16 bits, outside 12
+        ("csv", 40, 2.0 ** 33),  # no integer dtype holds 40 bits
+    ])
+    def test_values_checked_before_cast(self, tmp_path, fmt, bit_depth, value):
+        frames = [np.zeros((2, 3)) for _ in range(3)]
+        frames[1][1, 2] = value
+        if fmt == "pgm":
+            frames = [f.astype(np.uint16) for f in frames]
+        d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": bit_depth})
+        bad = "manifest.json" if bit_depth > 32 else f"frame_0001.{fmt}"
+        with pytest.raises(MalformedFile, match=bad):
+            load_frames(d)
+
+    def test_memory_stays_below_the_stack(self, tmp_path):
+        stack = synth_frames(SourceModel.coherent(),
+                             FrameOptics(noise=NoiseModel.none()), n=200, seed=12)
+        manifest = save_frames(stack, tmp_path / "stack")
+        stack_bytes = stack.frames.nbytes
+        del stack
+        tracemalloc.start()
+        try:
+            assert main(["process", str(manifest), "--out", str(tmp_path / "run")]) == 0
+            process_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_frames(manifest)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.frames.nbytes == stack_bytes
+        assert process_peak < stack_bytes
+        assert load_peak < 1.5 * stack_bytes

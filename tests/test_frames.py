@@ -106,6 +106,11 @@ class TestSynth:
         b = synth_frames(THERMAL, n=40, seed=7, workers=4)
         assert np.array_equal(a.frames, b.frames)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            synth_frames(COHERENT, n=2, seed=7, workers=workers)
+
     def test_metadata_records_configuration(self):
         stack = synth_frames(COHERENT, n=3, seed=8,
                              modulation=HarmonicModulation(amplitude=1.5, frequency=0.25))
@@ -133,6 +138,18 @@ class TestRoiAverage:
         series = roi_average(stack)
         for j in range(3):
             assert np.allclose(series.profiles[j], stack.frames[j, 0], rtol=1e-9)
+
+    def test_counts_full_scale_pixels_inside_roi_only(self):
+        frames = np.zeros((2, 4, 6), dtype=np.uint16)
+        frames[0, 1, 2] = frames[1, 3, 4] = 4095  # inside the ROI
+        frames[0, 0, 0] = frames[1, 1, 5] = 4095  # outside it
+        frames[1, 2, 3] = 4094
+        roi = RoiSpec(x0=1, y0=1, width=4, height=3, reference_column=2)
+        stack = FrameStack(frames=frames, fringe_period_px=4.0,
+                           metadata={"bit_depth": 12})
+        assert roi_average(stack, roi).saturated_pixels == 2
+        no_depth = FrameStack(frames=frames, fringe_period_px=4.0)
+        assert roi_average(no_depth, roi).saturated_pixels == 0
 
     def test_out_of_bounds(self):
         stack = synth_frames(COHERENT, SMALL_NOISELESS, n=1, seed=10)
