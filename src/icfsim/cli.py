@@ -447,10 +447,7 @@ def main(argv=None) -> int:
     try:
         opts = _resolve(args, parser)
         return _COMMANDS[args.command](opts)
-    except IcfSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (IcfSimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,6 +65,10 @@ class BadBatching(IcfSimError):
     pass
 
 
+class BadTrialCount(IcfSimError, ValueError):
+    pass
+
+
 class BadOptics(IcfSimError):
     pass
 

@@ -16,13 +16,15 @@ detectors on A, b on B and m on each of +/- contributes
 
 to the normalized correlation, where g(k) is the k-th normalized intensity
 moment of one source (the mean intensity cancels).  The imaginary parts
-cancel in conjugate pairs.  This evaluator is exhaustive and independent of
-the closed forms in :mod:`icfsim.analytic`, which it certifies.
+cancel in conjugate pairs.  The oracle visits all 4^n assignments, decoding
+each index below 4^n into base-4 tokens, then sums the surviving terms by
+sign row, as terms with one sign row share their phase and envelope factor.
+This evaluator is exhaustive and independent of the closed forms in
+:mod:`icfsim.analytic`, which it certifies.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .analytic import PhaseConfig, g2_point, g3_point, g4_point
 from .constants import DEFAULT_SEED
-from .errors import OrderTooLarge, UnsupportedOrder
+from .errors import BadTrialCount, OrderTooLarge, UnsupportedOrder
 from .sources import SourceModel, coherence_envelope, moment
 
 # 4^n assignments; n = 8 is 65536, still instant, and nobody needs more.
@@ -57,87 +59,89 @@ class ExpansionTerm:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(n: int):
-    """Enumerate all token assignments once; keep the theta-balanced ones."""
+def _expand(n: int):
+    """Decode all 4^n token assignments once; keep the theta-balanced ones.
+
+    Row i holds the base-4 digits of i, most significant first, so rows come
+    in ``itertools.product((A, B, +, -), repeat=n)`` order.  Returns the term
+    table (see ``_table``) and the number of rows decoded.
+    """
     if not 1 <= n <= MAX_ORDER:
         raise OrderTooLarge(n, MAX_ORDER)
-    terms = []
-    visited = 0
-    for tokens in itertools.product((_A, _B, _PLUS, _MINUS), repeat=n):
-        visited += 1
-        plus = frozenset(j for j, t in enumerate(tokens) if t == _PLUS)
-        minus = frozenset(j for j, t in enumerate(tokens) if t == _MINUS)
-        if len(plus) != len(minus):
-            continue
-        terms.append(ExpansionTerm(
-            a_count=tokens.count(_A),
-            b_count=tokens.count(_B),
-            plus_set=plus,
-            minus_set=minus,
-            weight=2.0 ** -n,
-        ))
-    return terms, visited
+    index = np.arange(4 ** n, dtype=np.int32)
+    tokens = (index[:, None] >> (2 * np.arange(n - 1, -1, -1, dtype=np.int32))) & 3
+    signs = (tokens == _PLUS).astype(np.int8) - (tokens == _MINUS)
+    keep = signs.sum(axis=1) == 0
+    # k_a counts A and + tokens; k_b = n - k_a counts B and - tokens
+    k_a = np.count_nonzero((tokens[keep] == _A) | (tokens[keep] == _PLUS), axis=1)
+    return (k_a, n - k_a, signs[keep]), len(index)
+
+
+def _table(n: int):
+    """Term table ``(k_a, k_b, signs)``: moment orders and int8 sign rows,
+    ``signs[t, j]`` being +1/-1/0 for a +/-/bare token at detector j of term t.
+    """
+    return _expand(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _grouped(n: int):
+    """The term table folded by sign row.
+
+    Returns the unique sign rows, a ``(rows, n + 1)`` matrix counting each
+    row's terms by ``k_a``, and the mask of detectors a row's phase involves.
+    """
+    k_a, _, signs = _table(n)
+    rows, row_of = np.unique(signs, axis=0, return_inverse=True)
+    counts = np.zeros((len(rows), n + 1))
+    np.add.at(counts, (row_of.ravel(), k_a), 1.0)
+    return rows.astype(float), counts, rows != 0
 
 
 def expansion_terms(n: int) -> list[ExpansionTerm]:
     """All theta-surviving assignments for order n, in enumeration order."""
-    return list(_enumerate(n)[0])
+    k_a, k_b, signs = _table(n)
+    m = np.count_nonzero(signs == 1, axis=1)
+    return [ExpansionTerm(a, b, frozenset(np.flatnonzero(row == 1).tolist()),
+                          frozenset(np.flatnonzero(row == -1).tolist()), 2.0 ** -n)
+            for a, b, row in zip((k_a - m).tolist(), (k_b - m).tolist(), signs)]
 
 
 def assignments_enumerated(n: int) -> int:
-    """Raw assignments actually visited by the expansion (4^n of them)."""
-    return _enumerate(n)[1]
+    """Raw assignments actually decoded by the expansion (4^n of them)."""
+    return _expand(n)[1]
 
 
 def term_count(n: int) -> int:
     """Number of assignments that survive the theta average."""
-    return len(_enumerate(n)[0])
-
-
-@lru_cache(maxsize=None)
-def _table(n: int):
-    """Vectorized term table: moment orders (k_a, k_b) and sign rows.
-
-    ``signs[t, j]`` is +1/-1/0 for a +/-/bare token at detector j of term t.
-    """
-    terms, _ = _enumerate(n)
-    k_a = np.empty(len(terms), dtype=np.intp)
-    k_b = np.empty(len(terms), dtype=np.intp)
-    signs = np.zeros((len(terms), n), dtype=np.int8)
-    for t, term in enumerate(terms):
-        m = len(term.plus_set)
-        k_a[t] = term.a_count + m
-        k_b[t] = term.b_count + m
-        for j in term.plus_set:
-            signs[t, j] = 1
-        for j in term.minus_set:
-            signs[t, j] = -1
-    return k_a, k_b, signs
+    return len(_table(n)[2])
 
 
 def _icf_sum(model: SourceModel, delta: np.ndarray) -> complex:
     """Unnormalized complex expansion sum; imaginary part must cancel."""
     n = delta.size
-    k_a, k_b, signs = _table(n)
+    rows, counts, active = _grouped(n)
     g = np.array([moment(model, k) if k >= 1 else 1.0 for k in range(n + 1)])
-    w = g[k_a] * g[k_b]
-    env = coherence_envelope(model, delta)
+    # a term's weight is g(k_a) g(n - k_a)
+    w = counts @ (g * g[::-1])
     if model.coherence_width is not None:
-        w = w * np.prod(np.where(signs != 0, env[None, :], 1.0), axis=1)
-    phases = signs @ delta
-    return complex(np.sum(w * np.exp(1j * phases)))
+        env = coherence_envelope(model, delta)
+        w = w * np.prod(np.where(active, env, 1.0), axis=1)
+    return complex(np.sum(w * np.exp(1j * (rows @ delta))))
 
 
 def icf_general(model: SourceModel, delta) -> float:
     """Normalized n-detector correlation <prod I_j> / prod <I_j>.
 
-    ``delta`` is the per-detector phase-offset list; n = len(delta) up to 8.
+    ``delta`` is the per-detector phase-offset list: a 1-D sequence of
+    finite phases, n = len(delta) from 1 up to 8.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    if delta.ndim != 1 or delta.size == 0 or not np.isfinite(delta).all():
+        raise ValueError(f"delta must be a non-empty 1-D list of finite phases, "
+                         f"got {delta.tolist()}")
     n = delta.size
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(n, MAX_ORDER)
-    total = _icf_sum(model, delta)
+    total = _icf_sum(model, delta)  # OrderTooLarge beyond MAX_ORDER
     scale = 2.0 ** -n
     value = total.real * scale
     residue = abs(total.imag) * scale
@@ -158,7 +162,7 @@ def verify_closed_form(order: int, trials: int, seed: int | None = None) -> floa
     if order not in (2, 3, 4):
         raise UnsupportedOrder(order)
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise BadTrialCount(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     worst = 0.0
     for _ in range(trials):

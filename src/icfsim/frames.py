@@ -96,12 +96,14 @@ class FrameOptics:
 
 
 def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
-    """Raise ValueError unless the pixels are nonnegative and, under a bit
-    depth, integral and inside its range.
+    """Raise ValueError unless the pixels are finite, nonnegative and, under
+    a bit depth, integral and inside its range.
 
     Run it on values as read, before any cast to an integer dtype, which
     would wrap out-of-range values silently.
     """
+    if np.issubdtype(frames.dtype, np.floating) and not np.isfinite(frames).all():
+        raise ValueError("pixel values must be finite")
     if frames.min() < 0:
         raise ValueError("pixel values must be nonnegative")
     if bit_depth is not None:

@@ -128,6 +128,13 @@ class TestVerify:
         assert code == 0
         assert text.count("PASS") == 3
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_exit_1(self, capsys, trials):
+        code, text, err = run(capsys, "verify", "--trials", trials)
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error:") and "trials" in err
+
 
 class TestFramesCli:
     def test_synth_then_process_default_noise(self, tmp_path, capsys):
@@ -201,6 +208,21 @@ class TestFramesCli:
         assert code == 1
         assert err.startswith("error: ") and "frame_0001.csv" in err
         assert "16-bit range" in err
+
+    def test_non_finite_float_pixel_exit_1(self, tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "3", "--frame-height", "4", "--frame-width", "64",
+            "--format", "csv", "--bit-depth", "0", "--out", str(stack_dir))
+        frame = stack_dir / "frame_0002.csv"
+        rows = frame.read_text().splitlines()
+        rows[1] = "nan," + rows[1].split(",", 1)[1]
+        frame.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, "process", str(stack_dir),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error: ") and "frame_0002.csv" in err
+        assert "finite" in err
+        assert not (tmp_path / "run_intensity.csv").exists()
 
     @pytest.mark.parametrize("kind, warns", [("thermal", True), ("coherent", False)])
     def test_saturation_reported_on_stderr(self, tmp_path, capsys, kind, warns):

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from icfsim import (
     verify_closed_form,
 )
 from icfsim.errors import MissingMoment, OrderTooLarge, UnsupportedOrder
-from icfsim.expansion import _icf_sum
+from icfsim.expansion import _grouped, _icf_sum, _table
 
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
@@ -45,6 +45,38 @@ class TestTermBookkeeping:
         assert term_count(3) == 20
         assert term_count(4) == 70
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_surviving_term_count_at_the_top_orders(self, n):
+        assert term_count(n) == balanced_count(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_matches_product_enumeration(self, n):
+        # independent reference: walk itertools.product in its own order
+        k_a, k_b, signs = [], [], []
+        for tokens in product("AB+-", repeat=n):
+            if tokens.count("+") != tokens.count("-"):
+                continue
+            m = tokens.count("+")
+            k_a.append(tokens.count("A") + m)
+            k_b.append(tokens.count("B") + m)
+            signs.append([{"+": 1, "-": -1}.get(t, 0) for t in tokens])
+        got_a, got_b, got_signs = _table(n)
+        assert got_signs.dtype == np.int8
+        assert np.array_equal(got_a, k_a)
+        assert np.array_equal(got_b, k_b)
+        assert np.array_equal(got_signs, np.array(signs).reshape(-1, n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sign_rows_closed_under_negation(self, n):
+        rows, counts, active = _grouped(n)
+        index = {tuple(r): i for i, r in enumerate(rows.tolist())}
+        assert len(index) == len(rows)
+        for i, row in enumerate(rows.tolist()):
+            j = index[tuple(-x for x in row)]
+            assert np.array_equal(counts[i], counts[j])
+            assert np.array_equal(active[i], active[j])
+        assert counts.sum() == term_count(n)
+
     def test_terms_are_balanced_and_weighted(self):
         for term in expansion_terms(4):
             assert len(term.plus_set) == len(term.minus_set)
@@ -58,6 +90,13 @@ class TestTermBookkeeping:
             icf_general(COHERENT, np.zeros(9))
         with pytest.raises(OrderTooLarge):
             expansion_terms(9)
+
+    @pytest.mark.parametrize("delta", [
+        [], np.zeros((2, 3)), [0.0, float("nan"), 1.0], [float("inf"), 0.0],
+    ], ids=["empty", "2-D", "nan", "inf"])
+    def test_bad_phases_rejected(self, delta):
+        with pytest.raises(ValueError, match="non-empty 1-D list of finite phases"):
+            icf_general(THERMAL, delta)
 
 
 class TestKnownValues:
@@ -74,6 +113,12 @@ class TestKnownValues:
 
     def test_matches_g2_at_pi(self):
         assert icf_general(COHERENT, [math.pi, 0.0]) == pytest.approx(0.5, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_coherent_equal_phases_give_central_binomial(self, n):
+        # <(1 + cos theta)^n> = C(2n, n) / 2^n
+        assert icf_general(COHERENT, np.full(n, 0.9)) == pytest.approx(
+            math.comb(2 * n, n) / 2 ** n, rel=1e-12)
 
     def test_all_equal_deltas_give_constant_plus_cos_terms(self):
         # every cosine is 1, so order 3 reduces to g3/4 + 2.25 g2
@@ -116,6 +161,35 @@ class TestOracleProperties:
             delta = rng.uniform(0, 2 * np.pi, n)
             total = _icf_sum(THERMAL, delta)
             assert abs(total.imag) * 2.0 ** -n < 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_imaginary_residue_cancels_at_the_top_orders(self, n):
+        rng = np.random.default_rng(36 + n)
+        for _ in range(50):
+            delta = rng.uniform(0, 2 * np.pi, n)
+            total = _icf_sum(THERMAL, delta)
+            assert abs(total.imag) * 2.0 ** -n < 1e-12 * max(1.0, abs(total.real) * 2.0 ** -n)
+
+    @pytest.mark.parametrize("model", [
+        THERMAL, COHERENT,
+        SourceModel.custom({k: math.exp(0.2 * k * (k - 1)) for k in range(2, 9)}),
+        SourceModel.thermal(coherence_width=2.5),
+    ], ids=["thermal", "coherent", "custom", "thermal-width"])
+    def test_grouped_sum_matches_per_term_sum(self, model):
+        # reference: one phase and one envelope factor per surviving term
+        from icfsim.sources import coherence_envelope
+        from icfsim.sources import moment as moment_of
+        rng = np.random.default_rng(37)
+        for n in range(1, 9):
+            k_a, k_b, signs = _table(n)
+            g = np.array([moment_of(model, k) if k >= 1 else 1.0 for k in range(n + 1)])
+            for _ in range(5):
+                delta = rng.uniform(-6, 6, n)
+                env = coherence_envelope(model, delta)
+                w = g[k_a] * g[k_b] * np.prod(np.where(signs != 0, env, 1.0), axis=1)
+                expected = np.sum(w * np.exp(1j * (signs @ delta)))
+                total = _icf_sum(model, delta)
+                assert abs(total - expected) <= 1e-12 * abs(expected)
 
     def test_nonnegativity_over_random_inputs(self):
         rng = np.random.default_rng(32)

@@ -256,6 +256,16 @@ class TestFrameReader:
         with pytest.raises(MalformedFile, match=bad):
             load_frames(d)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_float_pixel_rejected(self, tmp_path, value):
+        frames = [np.ones((2, 3)) for _ in range(3)]
+        frames[1][0, 1] = value
+        d = write_stack(tmp_path / "stack", frames, "csv", {})
+        with pytest.raises(MalformedFile, match="frame_0001.csv"):
+            load_frames(d)
+        with pytest.raises(MalformedFile, match="frame_0001.csv"):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 3, 2, 1))
+
     def test_memory_stays_below_the_stack(self, tmp_path):
         stack = synth_frames(SourceModel.coherent(),
                              FrameOptics(noise=NoiseModel.none()), n=200, seed=12)

@@ -332,6 +332,13 @@ class TestFrameStackInvariants:
         with pytest.raises(ValueError):
             FrameStack(frames=np.full((1, 2, 2), -1.0), fringe_period_px=8.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixels_rejected(self, value):
+        frames = np.ones((2, 2, 2))
+        frames[1, 0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            FrameStack(frames=frames, fringe_period_px=8.0)
+
     def test_bit_depth_bound_enforced(self):
         frames = np.full((1, 2, 2), 70000.0)
         with pytest.raises(ValueError):
