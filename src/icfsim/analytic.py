@@ -19,6 +19,8 @@ where g(k) is the k-th normalized moment of each source.  A finite
 coherence width attenuates each interference cosine by the envelope
 factors of the detectors it involves (which breaks gauge invariance and
 2*pi periodicity on purpose: the envelope is pinned to delta = 0).
+``closed_form`` is the one evaluator of these forms, vectorized over any
+leading axes; the point functions, scans and the extremum search call it.
 
 Scan schemes map a single coordinate x to a detector phase tuple:
 
@@ -120,8 +122,7 @@ class ScanPattern:
         """Detector phases per grid point, shape (len(grid), order)."""
         if self.scheme == "custom":
             return self.deltas
-        cols = scheme_deltas(self.order, self.scheme, self.grid, self.offset)
-        return np.stack(np.broadcast_arrays(*cols), axis=1)
+        return _stack(scheme_deltas(self.order, self.scheme, self.grid, self.offset))
 
 
 def scheme_deltas(order: int, scheme: str, x, offset: float | None = None):
@@ -218,11 +219,36 @@ def _g4_value(g2, g3, g4, d1, d2, d3, d4, e1, e2, e3, e4):
             + 0.25 * (g3 + g2sq) * pair + 0.125 * g2sq * triple)
 
 
-def _envelope_factors(model: SourceModel, deltas):
-    if model.coherence_width is None:
-        return tuple(1.0 for _ in deltas)
-    w = model.coherence_width
-    return tuple(np.exp(-(d * d) / (2.0 * w * w)) for d in deltas)
+def closed_form(moments, delta, env=None):
+    """The closed form of order n at detector phases ``delta``.
+
+    ``delta`` has shape (..., n) with n from 2 to 4; ``env`` holds the
+    envelope factor of each detector in the same shape, or is None for
+    infinite coherence.  ``moments`` is (g(2), g(3), g(4)), each entry a
+    scalar or an array broadcasting over the leading axes of ``delta``; only
+    the first n - 1 are read.  ``delta`` keeps its dtype, so complex steps
+    pass through.
+    """
+    delta = np.asarray(delta)
+    n = delta.shape[-1]
+    if not 2 <= n <= 4:
+        raise UnsupportedOrder(n)
+    d = np.moveaxis(delta, -1, 0)
+    e = (1.0,) * n if env is None else np.moveaxis(np.asarray(env), -1, 0)
+    value = (_g2_value, _g3_value, _g4_value)[n - 2]
+    return value(*tuple(moments)[:n - 1], *d, *e)
+
+
+def _at(model: SourceModel, delta):
+    """The closed form for ``model`` at detector phases ``delta`` (..., n)."""
+    delta = np.asarray(delta)
+    moments = [moment(model, k) for k in range(2, delta.shape[-1] + 1)]
+    return closed_form(moments, delta, coherence_envelope(model, delta))
+
+
+def _stack(cols):
+    """Per-detector phases (scalars or arrays) as one (..., n) array."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
 def g2_point(model: SourceModel, phi12) -> float:
@@ -231,70 +257,34 @@ def g2_point(model: SourceModel, phi12) -> float:
     With a coherence envelope, the detectors are taken at offsets
     (phi_12, 0), the gauge in which the envelope is centered.
     """
-    g2 = moment(model, 2)
-    e1, e2 = _envelope_factors(model, (phi12, phi12 * 0.0))
-    return _g2_value(g2, phi12, phi12 * 0.0, e1, e2)
+    return _at(model, _stack((phi12, phi12 * 0.0)))
 
 
 def g3_point(model: SourceModel, cfg: PhaseConfig) -> float:
     """Third-order correlation at the given detector phases."""
     if cfg.order != 3:
         raise UnsupportedOrder(cfg.order)
-    g2 = moment(model, 2)
-    g3 = moment(model, 3)
-    e = _envelope_factors(model, cfg.delta)
-    return _g3_value(g2, g3, *cfg.delta, *e)
+    return _at(model, _stack(cfg.delta))
 
 
 def g4_point(model: SourceModel, cfg: PhaseConfig) -> float:
     """Fourth-order correlation at the given detector phases."""
     if cfg.order != 4:
         raise UnsupportedOrder(cfg.order)
-    g2 = moment(model, 2)
-    g3 = moment(model, 3)
-    g4 = moment(model, 4)
-    e = _envelope_factors(model, cfg.delta)
-    return _g4_value(g2, g3, g4, *cfg.delta, *e)
+    return _at(model, _stack(cfg.delta))
 
 
 def _curve(model: SourceModel, pattern: ScanPattern) -> Callable:
     """Scan-coordinate evaluator x -> g(x); vectorized and complex-safe."""
-    n = pattern.order
-    g2 = moment(model, 2)
-    if n == 2:
-        def f(x):
-            d = scheme_deltas(2, pattern.scheme, x, pattern.offset)
-            e = _envelope_factors(model, d)
-            return _g2_value(g2, *d, *e)
-        return f
-    g3 = moment(model, 3)
-    if n == 3:
-        def f(x):
-            d = scheme_deltas(3, pattern.scheme, x, pattern.offset)
-            e = _envelope_factors(model, d)
-            return _g3_value(g2, g3, *d, *e)
-        return f
-    g4 = moment(model, 4)
-
     def f(x):
-        d = scheme_deltas(4, pattern.scheme, x, pattern.offset)
-        e = _envelope_factors(model, d)
-        return _g4_value(g2, g3, g4, *d, *e)
+        return _at(model, _stack(scheme_deltas(pattern.order, pattern.scheme, x,
+                                               pattern.offset)))
     return f
 
 
 def scan(model: SourceModel, pattern: ScanPattern) -> InterferencePattern:
     """Evaluate the closed form along a scan trajectory."""
-    d = pattern.delta_array()
-    cols = tuple(d[:, j] for j in range(pattern.order))
-    e = _envelope_factors(model, cols)
-    g2 = moment(model, 2)
-    if pattern.order == 2:
-        values = _g2_value(g2, *cols, *e)
-    elif pattern.order == 3:
-        values = _g3_value(g2, moment(model, 3), *cols, *e)
-    else:
-        values = _g4_value(g2, moment(model, 3), moment(model, 4), *cols, *e)
+    values = _at(model, pattern.delta_array())
     return InterferencePattern(xs=pattern.grid, values=np.asarray(values, dtype=float))
 
 

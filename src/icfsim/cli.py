@@ -85,6 +85,11 @@ _DEFAULTS = {
 }
 
 
+# Smallest accepted value of each integer option, checked once for flags and
+# config files alike.
+_MINIMUM = {"seed": 0, "grid_points": 1, "frames": 1, "frame_width": 1, "frame_height": 1}
+
+
 def _roi_arg(text: str) -> str:
     parts = text.split(",")
     if len(parts) != 4 or not all(p.strip().lstrip("-").isdigit() for p in parts):
@@ -183,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Merge defaults, config-file values, and explicit flags (flags win).
 
-    A config key the subcommand does not take is a usage error.
+    A config key the subcommand does not take is a usage error; a value
+    below its ``_MINIMUM`` is a data error.
     """
     opts = dict(_DEFAULTS[args.command])
     config = getattr(args, "config", None)
@@ -205,6 +211,10 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             opts[key] = value
         elif key not in opts:
             opts[key] = None
+    for key, low in _MINIMUM.items():
+        if opts.get(key) is not None and opts[key] < low:
+            raise IcfSimError(f"{key.replace('_', '-')} must be at least {low}, "
+                              f"got {opts[key]}")
     return opts
 
 

@@ -326,3 +326,79 @@ class TestPatternType:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             InterferencePattern(xs=np.array([0.0]), values=np.array([1.0, 2.0]))
+
+
+class TestClosedForm:
+    """``closed_form`` is the one evaluator behind points, scans and curves."""
+
+    MODELS = [COHERENT, THERMAL, SourceModel.custom({2: 1.7, 3: 3.4, 4: 8.1}),
+              SourceModel.thermal(coherence_width=1.5)]
+
+    @staticmethod
+    def evaluate(model, delta):
+        from icfsim.analytic import closed_form
+        from icfsim.sources import coherence_envelope
+        n = delta.shape[-1]
+        return closed_form([moment(model, k) for k in range(2, n + 1)], delta,
+                           coherence_envelope(model, delta))
+
+    @pytest.mark.parametrize("model", MODELS, ids=["coherent", "thermal", "custom", "width"])
+    def test_batch_matches_point_functions(self, model):
+        rng = np.random.default_rng(41)
+        for n, point in ((3, g3_point), (4, g4_point)):
+            delta = rng.uniform(-4, 4, (50, n))
+            batch = self.evaluate(model, delta)
+            for d, value in zip(delta, batch):
+                assert abs(point(model, PhaseConfig(tuple(d))) - value) <= 1e-15 * abs(value)
+        phi = rng.uniform(-4, 4, 50)
+        batch = self.evaluate(model, np.stack([phi, 0.0 * phi], axis=-1))
+        for p, value in zip(phi, batch):
+            assert abs(g2_point(model, p) - value) <= 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["coherent", "thermal", "custom", "width"])
+    @pytest.mark.parametrize("order,scheme", [
+        (2, "symmetric_opposite"), (3, "symmetric_opposite"), (3, "single_detector"),
+        (4, "four_point_double_speed"), (2, "custom"), (3, "custom"), (4, "custom")])
+    def test_scan_matches(self, model, order, scheme):
+        grid = np.linspace(0.0, 2.0 * np.pi, 37)
+        deltas = (np.random.default_rng(order).uniform(-3, 3, (grid.size, order))
+                  if scheme == "custom" else None)
+        pattern = ScanPattern(order=order, scheme=scheme, grid=grid, offset=0.8,
+                              deltas=deltas)
+        expected = self.evaluate(model, pattern.delta_array())
+        got = scan(model, pattern).values
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+    def test_complex_phases_pass_through(self):
+        from icfsim.analytic import closed_form
+        value = closed_form((2.0, 6.0), np.array([0.3 + 1e-30j, 0.0, -0.3 - 1e-30j]))
+        assert np.iscomplexobj(value) and value.imag != 0.0
+
+    def test_wrong_order_rejected(self):
+        from icfsim.analytic import closed_form
+        for n in (1, 5):
+            with pytest.raises(UnsupportedOrder):
+                closed_form((2.0, 6.0, 24.0), np.zeros(n))
+
+    @pytest.mark.parametrize("kind,width,order,scheme,offset,x_max,x_min,vis", [
+        ("coherent", None, 3, "symmetric_opposite", None,
+         0.0, 2.0943951023931873, 0.8181818181818182),
+        ("thermal", None, 3, "symmetric_opposite", None,
+         0.0, 2.0943951023931873, 0.6),
+        ("thermal", None, 3, "single_detector", 1.0,
+         5.783185307179503, 2.6415926535897096, 0.49576701991564825),
+        ("coherent", None, 4, "four_point_double_speed", None,
+         0.0, 1.5707963267948966, 0.9444444444444444),
+        ("thermal", None, 4, "four_point_double_speed", None,
+         0.0, 1.5707963267948966, 0.7777777777777778),
+        ("thermal", 1.5, 3, "symmetric_opposite", None,
+         0.0, 1.9897192143124394, 0.4039497760955022),
+        ("coherent", 2.0, 4, "four_point_double_speed", None,
+         0.0, 1.7474105361500638, 0.7608003644576229),
+    ])
+    def test_extremal_phases_unchanged(self, kind, width, order, scheme, offset,
+                                       x_max, x_min, vis):
+        # reference values from the per-order evaluators that closed_form replaced
+        got = extremal_phases(SourceModel(kind, coherence_width=width), order, scheme,
+                              offset=offset)
+        assert got == pytest.approx((x_max, x_min, vis), abs=1e-12)

@@ -281,3 +281,32 @@ class TestConfig:
         assert err.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
+
+
+class TestOutOfRangeIntegers:
+    """Integer options below their minimum are data errors, not tracebacks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "5", "--seed", "-1"],
+        ["mc", "--samples", "1000", "--batches", "10", "--seed", "-1"],
+        ["synth", "--frames", "2", "--seed", "-1"],
+        ["synth", "--frames", "0"],
+        ["synth", "--frames", "2", "--frame-width", "0"],
+        ["synth", "--frames", "2", "--frame-height", "0"],
+        ["analytic", "--grid-points", "-2"],
+    ], ids=["verify-seed", "mc-seed", "synth-seed", "synth-frames", "synth-width",
+            "synth-height", "analytic-grid"])
+    def test_exit_1_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, text, err = run(capsys, *argv, *([] if argv[0] == "verify" else ["--out", str(out)]))
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error:") and argv[-2].lstrip("-") in err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_file_seed_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -3}))
+        code, _, err = run(capsys, "verify", "--config", str(config))
+        assert code == 1
+        assert err.startswith("error:") and "seed" in err

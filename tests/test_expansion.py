@@ -255,3 +255,115 @@ class TestOracleProperties:
         for phi in (0.0, 0.7, 2.0):
             assert icf_general(model, [phi, 0.0]) == pytest.approx(
                 g2_point(model, phi), abs=1e-13)
+
+
+def per_trial_reference(order, trials, seed):
+    """The one-trial-at-a-time certification loop: draw, build, compare."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        g2 = rng.uniform(1.0, 4.0)
+        g3 = g2 * g2 * rng.uniform(1.0, 2.5)
+        g4 = (g3 * g3 / g2) * rng.uniform(1.0, 2.5)
+        model = SourceModel.custom({2: g2, 3: g3, 4: g4})
+        delta = rng.uniform(0.0, 2.0 * np.pi, order)
+        if order == 2:
+            closed = g2_point(model, delta[0] - delta[1])
+        elif order == 3:
+            closed = g3_point(model, PhaseConfig(tuple(delta)))
+        else:
+            closed = g4_point(model, PhaseConfig(tuple(delta)))
+        worst = max(worst, abs(icf_general(model, delta) - closed))
+    return worst
+
+
+class TestBatchedVerify:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_bulk_draws_equal_scalar_draws(self, order):
+        from icfsim.expansion import _draw
+        rng = np.random.default_rng(9)
+        scalar = []
+        for _ in range(50):
+            g2 = rng.uniform(1.0, 4.0)
+            g3 = g2 * g2 * rng.uniform(1.0, 2.5)
+            g4 = (g3 * g3 / g2) * rng.uniform(1.0, 2.5)
+            scalar.append([g2, g3, g4, *rng.uniform(0.0, 2.0 * np.pi, order)])
+        rng = np.random.default_rng(9)
+        parts = [_draw(rng, order, 17), _draw(rng, order, 33)]
+        bulk = np.concatenate([np.column_stack([g2, g3, g4, d]) for g2, g3, g4, d in parts])
+        assert np.array_equal(bulk, np.array(scalar))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_matches_per_trial_reference_across_a_chunk_boundary(self, order):
+        from icfsim.expansion import _CHUNK
+        trials = _CHUNK + 37
+        assert abs(verify_closed_form(order, trials, seed=5)
+                   - per_trial_reference(order, trials, 5)) <= 1e-15
+
+    @pytest.mark.parametrize("trials", [1, 6, 7, 50])
+    def test_small_chunks_match_per_trial_reference(self, monkeypatch, trials):
+        import icfsim.expansion as expansion
+        monkeypatch.setattr(expansion, "_CHUNK", 7)
+        for order in (2, 3, 4):
+            assert abs(verify_closed_form(order, trials, seed=21)
+                       - per_trial_reference(order, trials, 21)) <= 1e-15
+
+    def test_batched_sums_equal_single_sums(self):
+        from icfsim.expansion import _sums
+        rng = np.random.default_rng(43)
+        for n in range(1, 9):
+            g = np.concatenate([np.ones((20, 2)), rng.uniform(1, 5, (20, n - 1))], axis=1)
+            delta = rng.uniform(-6, 6, (20, n))
+            env = rng.uniform(0.2, 1.0, (20, n))
+            for e in (None, env):
+                batch = _sums(g, delta, e)
+                for i in range(20):
+                    assert batch[i] == _sums(g[i], delta[i], None if e is None else e[i])
+
+    def test_perturbed_closed_form_fails_the_cli(self, monkeypatch, capsys):
+        import icfsim.expansion as expansion
+        from icfsim.cli import main
+        original = expansion.closed_form
+        monkeypatch.setattr(expansion, "closed_form",
+                            lambda *args: original(*args) * (1 + 1e-8))
+        assert main(["verify", "--trials", "50"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 3 and "PASS" not in out
+
+    def test_uncancelled_residue_in_one_trial_raises(self, monkeypatch):
+        import icfsim.expansion as expansion
+        original = expansion._sums
+
+        def leaky(g, delta, env=None):
+            total = original(g, delta, env)
+            total[5] += 1e-6j
+            return total
+        monkeypatch.setattr(expansion, "_sums", leaky)
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            verify_closed_form(3, 20)
+
+    def test_nonclassical_draw_in_one_trial_raises(self, monkeypatch):
+        import icfsim.expansion as expansion
+        from icfsim.errors import MomentInequalityViolated
+        original = expansion._draw
+
+        def draw(rng, order, size):
+            g2, g3, g4, delta = original(rng, order, size)
+            g3[size // 2] = 0.9 * g2[size // 2] ** 2
+            return g2, g3, g4, delta
+        monkeypatch.setattr(expansion, "_draw", draw)
+        with pytest.raises(MomentInequalityViolated) as err:
+            verify_closed_form(4, 20)
+        assert err.value.order == 3
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                verify_closed_form(4, trials, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(200_000) < 2 * peak(20_000)
