@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -75,7 +76,7 @@ _DEFAULTS = {
     "verify": {"trials": 1000, "seed": DEFAULT_SEED},
     "synth": {"kind": "coherent", "frames": 500, "seed": DEFAULT_SEED,
               "period_px": 60.0, "envelope_fwhm_px": None,
-              "peak_level": 30000.0, "noise_sigma": 300.0, "poisson": True,
+              "peak_level": None, "noise_sigma": 300.0, "poisson": True,
               "bit_depth": 16, "frame_width": 600, "frame_height": 50,
               "phase_modulation": "uniform", "mod_amplitude": None,
               "mod_frequency": None, "out": "stack", "format": "pgm"},
@@ -88,6 +89,16 @@ _DEFAULTS = {
 # Smallest accepted value of each integer option, checked once for flags and
 # config files alike.
 _MINIMUM = {"seed": 0, "grid_points": 1, "frames": 1, "frame_width": 1, "frame_height": 1}
+
+
+def _workers() -> int:
+    """Threads for `synth` and `mc`, whose outputs do not depend on the count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    # At most 2: the thread pools were measured on a 2-vCPU host only.
+    return min(2, cpus)
 
 
 def _roi_arg(text: str) -> str:
@@ -153,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--period-px", type=float, dest="period_px")
     p.add_argument("--envelope-fwhm-px", type=float, dest="envelope_fwhm_px")
-    p.add_argument("--peak-level", type=float, dest="peak_level")
+    p.add_argument("--peak-level", type=float, dest="peak_level",
+                   help="counts at a coherent fringe maximum (default 30000; "
+                        "thermal with a bit depth: 2(2^bits-1)/ln(1e7), so "
+                        "pixels almost never clip)")
     p.add_argument("--noise-sigma", type=float, dest="noise_sigma",
                    help="Gaussian read noise (counts); 0 disables")
     p.add_argument("--no-poisson", dest="poisson", action="store_false",
@@ -185,11 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The type of value each option flag of ``command`` takes."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: bool if action.nargs == 0
+            else action.type if action.type in (int, float) else str
+            for action in sub.choices[command]._actions
+            if action.option_strings and action.dest not in ("help", "config")}
+
+
+def _has_type(value, expected: type) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Merge defaults, config-file values, and explicit flags (flags win).
 
-    A config key the subcommand does not take is a usage error; a value
-    below its ``_MINIMUM`` is a data error.
+    A config key the subcommand does not take is a usage error; a config
+    value of another type than its flag takes (null only where the default
+    is null), or a value below its ``_MINIMUM``, is a data error.
     """
     opts = dict(_DEFAULTS[args.command])
     config = getattr(args, "config", None)
@@ -198,11 +228,17 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             parser.error(f"config file {config} must hold a JSON object")
+        types = _flag_types(parser, args.command)
         for key, value in loaded.items():
             name = key.replace("-", "_")
             if name not in opts:
                 parser.error(f"unknown key {key!r} in config file {config} "
                              f"for '{args.command}'")
+            expected = types.get(name)
+            if (expected is not None and not _has_type(value, expected)
+                    and not (value is None and opts[name] is None)):
+                raise IcfSimError(f"{key} in config file {config} must be of type "
+                                  f"{expected.__name__}, got {value!r}")
             opts[name] = value
     for key, value in vars(args).items():
         if key in ("command", "config", "func"):
@@ -301,7 +337,8 @@ def _visibility_error(pattern: InterferencePattern) -> float:
 def cmd_mc(opts: dict) -> int:
     model = _model(opts)
     pattern = estimate_scan(model, _scan_pattern(opts), n_samples=opts["samples"],
-                            n_batches=opts["batches"], seed=opts["seed"])
+                            n_batches=opts["batches"], seed=opts["seed"],
+                            workers=_workers())
     err = _visibility_error(pattern)
     print(f"visibility = {pattern.visibility:.6f} +/- {err:.6f}")
     for line in _limit_lines(pattern.visibility, opts["order"], opts["kind"])[1:]:
@@ -374,8 +411,15 @@ def cmd_synth(opts: dict) -> int:
             kwargs["frequency"] = opts["mod_frequency"]
         modulation = HarmonicModulation(**kwargs)
     stack = synth_frames(model, optics, n=opts["frames"], seed=opts["seed"],
-                         modulation=modulation)
+                         modulation=modulation, workers=_workers())
     manifest = save_frames(stack, opts["out"], fmt=opts["format"])
+    saturated = stack.metadata["saturated_pixels"]
+    if saturated:
+        pixels = stack.frames.size
+        print(f"warning: {saturated} of {pixels} pixels ({saturated / pixels:.2%}) in "
+              f"{stack.metadata['saturated_frames']} of {stack.n_frames} frames are "
+              f"saturated at {2 ** bit_depth - 1}; the correlation visibilities are "
+              f"biased low", file=sys.stderr)
     print(f"wrote {stack.n_frames} {opts['format']} frames and {manifest}")
     return 0
 

@@ -43,6 +43,11 @@ from .errors import (
 )
 from .sources import SourceModel, sample_batch
 
+# Pixels per render task: enough that small frames share their numpy calls,
+# few enough that a task's float buffer stays at 1 MB, so that rendering on
+# two threads adds little to peak memory (at 4 MB it added about 9 MB).
+_TASK_PIXELS = 1 << 17
+
 # Default incommensurate drive frequency (cycles per frame) so that a
 # harmonic phase sequence equidistributes over its cycle.
 GOLDEN_FRACTION = 0.6180339887498949
@@ -83,12 +88,13 @@ class FrameOptics:
 
     ``envelope_fwhm_px`` is the FWHM of a Gaussian intensity envelope
     centered on the frame (None for a flat pattern).  ``peak_level`` is the
-    nominal full-scale count of a coherent fringe maximum.
+    nominal full-scale count of a coherent fringe maximum; None picks a
+    level by source kind (see ``_default_peak_level``).
     """
 
     fringe_period_px: float = 60.0
     envelope_fwhm_px: float | None = None
-    peak_level: float = 30000.0
+    peak_level: float | None = None
     noise: NoiseModel = field(default_factory=NoiseModel)
     bit_depth: int | None = 16
     frame_width: int = 600
@@ -173,6 +179,22 @@ class ProcessedSeries:
         return self.profiles.shape[1]
 
 
+def _default_peak_level(model: SourceModel, bit_depth: int | None) -> float:
+    """Peak level used when the optics leave it unset.
+
+    A noise-free thermal pixel is exponential with mean peak_level / 2 (the
+    sum of two thermal fields is one thermal field of twice the mean
+    intensity), so it reaches the full-scale count F = 2^bits - 1 with
+    probability exp(-2 F / peak_level).  The thermal level 2 F / ln(1e7)
+    (about 8130 at 16 bits) keeps that below 1e-7, so clipping does not
+    bias the correlations.  Coherent pixels never exceed peak_level, and
+    without a bit depth nothing clips: both keep 30000.
+    """
+    if model.kind == "thermal" and bit_depth is not None:
+        return 2.0 * (2 ** bit_depth - 1) / math.log(1e7)
+    return 30000.0
+
+
 def _envelope_row(width: int, fwhm: float | None) -> np.ndarray:
     x = np.arange(width, dtype=float)
     if fwhm is None:
@@ -190,7 +212,10 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     Pulse phases are uniform random draws unless a harmonic ``modulation``
     is given (amplitude 0 freezes the pattern).  Each frame draws from its
     own seeded substream, so the stack is reproducible bit-for-bit for any
-    worker count.
+    worker count.  Frames are rendered in tasks of consecutive frames
+    (``_TASK_PIXELS`` pixels, at least one frame); the split depends on the
+    frame shape only.  Full-scale pixels are counted into the metadata as
+    ``saturated_pixels`` and ``saturated_frames``.
     """
     optics = optics or FrameOptics()
     if n < 1:
@@ -200,15 +225,18 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     if not optics.fringe_period_px >= 4:
         raise BadOptics(
             f"fringe_period_px must be >= 4 px (Nyquist margin), got {optics.fringe_period_px!r}")
-    if not optics.peak_level > 0:
-        raise BadOptics(f"peak_level must be positive, got {optics.peak_level!r}")
     if optics.bit_depth is not None and not 1 <= optics.bit_depth <= 32:
         raise BadOptics(f"bit_depth must be in 1..32, got {optics.bit_depth!r}")
+    peak_level = optics.peak_level
+    if peak_level is None:
+        peak_level = _default_peak_level(model, optics.bit_depth)
+    if not peak_level > 0:
+        raise BadOptics(f"peak_level must be positive, got {peak_level!r}")
 
     height, width = optics.frame_height, optics.frame_width
     envelope = _envelope_row(width, optics.envelope_fwhm_px)
     column_phase = 2.0 * np.pi * np.arange(width) / optics.fringe_period_px
-    scale = optics.peak_level / (4.0 * model.mean_intensity)
+    scale = peak_level / (4.0 * model.mean_intensity)
     sigma = optics.noise.gaussian_sigma
     noisy = optics.noise.poisson or sigma > 0
 
@@ -229,30 +257,46 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     else:
         thetas = None
 
-    def render(j: int):
-        rng = np.random.default_rng(frame_seeds[j])
-        ia, ib, th = sample_batch(model, rng, 1)
-        theta = thetas[j] if thetas is not None else th[0]
-        row = envelope * (ia[0] + ib[0] + 2.0 * np.sqrt(ia[0] * ib[0])
-                          * np.cos(column_phase + theta)) * scale
-        if not noisy:
-            img = np.broadcast_to(row, (height, width))
-        else:
-            img = rng.poisson(lam=np.broadcast_to(row, (height, width))).astype(float) \
-                if optics.noise.poisson else np.tile(row, (height, 1))
-            if sigma > 0:
-                img = img + rng.normal(0.0, sigma, (height, width))
-        if vmax is None:
-            out[j] = np.maximum(img, 0.0)
-        else:
-            out[j] = np.rint(np.clip(img, 0.0, vmax))
+    per_task = max(1, _TASK_PIXELS // (height * width))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(render, range(n)))
+    def render(start: int):
+        """Render one task's frames into ``out``; return their saturation counts."""
+        stop = min(start + per_task, n)
+        rngs = [np.random.default_rng(s) for s in frame_seeds[start:stop]]
+        ia, ib, th = (np.concatenate(d) for d in
+                      zip(*(sample_batch(model, rng, 1) for rng in rngs)))
+        theta = thetas[start:stop] if thetas is not None else th
+        rows = envelope * ((ia + ib)[:, None] + (2.0 * np.sqrt(ia * ib))[:, None]
+                           * np.cos(column_phase + theta[:, None])) * scale
+        if not noisy:
+            # a noise-free frame repeats its row, so finish the rows alone
+            # and broadcast them down the frames
+            img = rows[:, None, :]
+        else:
+            img = out[start:stop] if vmax is None else np.empty((stop - start, height, width))
+            for frame, row, rng in zip(img, rows, rngs):
+                frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
+                    if optics.noise.poisson else row
+                if sigma > 0:
+                    frame += rng.normal(0.0, sigma, (height, width))
+        if vmax is None:
+            np.maximum(img, 0.0, out=out[start:stop])
+            return 0, 0
+        np.clip(img, 0.0, vmax, out=img)
+        out[start:stop] = np.rint(img, out=img)
+        full = out[start:stop] == vmax
+        return int(np.count_nonzero(full)), int(np.count_nonzero(full.any(axis=(1, 2))))
+
+    starts = range(0, n, per_task)
+    if workers > 1 and len(starts) > 1:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            counts = list(pool.map(render, starts))
+        finally:
+            # a failed task leaves no queued task and no thread behind
+            pool.shutdown(cancel_futures=True)
     else:
-        for j in range(n):
-            render(j)
+        counts = [render(start) for start in starts]
 
     if modulation is not None:
         phase_modulation = {"type": "harmonic",
@@ -264,10 +308,12 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         "kind": model.kind,
         "mean_intensity": model.mean_intensity,
         "envelope_fwhm_px": optics.envelope_fwhm_px,
-        "peak_level": optics.peak_level,
+        "peak_level": peak_level,
         "noise": {"gaussian_sigma": sigma, "poisson": optics.noise.poisson},
         "bit_depth": optics.bit_depth,
         "phase_modulation": phase_modulation,
+        "saturated_pixels": sum(p for p, _ in counts),
+        "saturated_frames": sum(f for _, f in counts),
     }
     return FrameStack(frames=out, fringe_period_px=optics.fringe_period_px,
                       metadata=metadata)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icfsim import read_pattern_csv, read_pattern_json
+import icfsim.cli as cli
 from icfsim.cli import main
 
 
@@ -226,9 +227,24 @@ class TestFramesCli:
 
     @pytest.mark.parametrize("kind, warns", [("thermal", True), ("coherent", False)])
     def test_saturation_reported_on_stderr(self, tmp_path, capsys, kind, warns):
+        # 30000 clips thermal pixels; the thermal default level does not
         stack_dir = tmp_path / "stack"
-        run(capsys, "synth", "--kind", kind, "--frames", "200", "--frame-height", "8",
-            "--out", str(stack_dir))
+        code, text, err = run(capsys, "synth", "--kind", kind, "--frames", "200",
+                              "--frame-height", "8", "--peak-level", "30000",
+                              "--out", str(stack_dir))
+        assert code == 0
+        assert "saturated" not in text
+        manifest = json.loads((stack_dir / "manifest.json").read_text())["metadata"]
+        if warns:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("warning: ")
+            assert (f"{manifest['saturated_pixels']} of 960000 pixels (" in lines[0]
+                    and f"in {manifest['saturated_frames']} of 200 frames" in lines[0])
+            assert "saturated at 65535" in lines[0]
+            assert 0 < manifest["saturated_frames"] <= 200
+        else:
+            assert err == ""
+            assert manifest["saturated_pixels"] == manifest["saturated_frames"] == 0
         code, text, err = run(capsys, "process", str(stack_dir),
                               "--out", str(tmp_path / "run"))
         assert code == 0
@@ -238,7 +254,7 @@ class TestFramesCli:
             return
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
-        assert " of 960000 ROI pixels (" in lines[0]
+        assert f"warning: {manifest['saturated_pixels']} of 960000 ROI pixels (" in lines[0]
         assert "saturated at 65535" in lines[0]
         fraction = float(lines[0].split("(")[1].split("%")[0]) / 100
         assert 0.002 < fraction < 0.05
@@ -310,3 +326,59 @@ class TestOutOfRangeIntegers:
         code, _, err = run(capsys, "verify", "--config", str(config))
         assert code == 1
         assert err.startswith("error:") and "seed" in err
+
+
+class TestConfigTypes:
+    """A config value must have the type its flag takes."""
+
+    @pytest.mark.parametrize("command, content, key", [
+        ("verify", {"seed": "x"}, "seed"),
+        ("verify", {"trials": "5"}, "trials"),
+        ("verify", {"trials": True}, "trials"),
+        ("synth", {"frames": 2.5}, "frames"),
+    ], ids=["verify-seed-str", "verify-trials-str", "verify-trials-bool", "synth-frames-float"])
+    def test_mismatch_exit_1(self, tmp_path, capsys, command, content, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+        code, text, err = run(capsys, command, "--config", str(config), *out)
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: ") and key in err and "int" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_matching_types_accepted(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"frames": 2, "peak_level": 20000, "poisson": False,
+                                      "envelope_fwhm_px": None, "frame_height": 2}))
+        code, _, err = run(capsys, "synth", "--config", str(config),
+                           "--out", str(tmp_path / "stack"))
+        assert (code, err) == (0, "")
+        metadata = json.loads((tmp_path / "stack" / "manifest.json").read_text())["metadata"]
+        assert metadata["peak_level"] == 20000 and metadata["noise"]["poisson"] is False
+
+
+class TestThreads:
+    @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
+    def test_at_most_two_threads(self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert cli._workers() == workers
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--kind", "thermal", "--frames", "40", "--peak-level", "30000"],
+        ["mc", "--kind", "thermal", "--order", "4", "--samples", "2000",
+         "--batches", "10", "--grid-points", "5"],
+    ], ids=["synth", "mc"])
+    def test_outputs_independent_of_thread_count(self, tmp_path, capsys, monkeypatch, argv):
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_workers", lambda: workers)
+            base = tmp_path / f"w{workers}"
+            base.mkdir()
+            code, text, err = run(capsys, *argv, "--out", str(base / "out"))
+            assert code == 0
+            results.append((text.replace(str(base), "BASE"), err,
+                            [(str(p.relative_to(base)), p.read_bytes())
+                             for p in sorted(base.rglob("*")) if p.is_file()]))
+        assert results[0] == results[1]
+        assert results[0][2]

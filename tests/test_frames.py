@@ -1,4 +1,6 @@
+import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from icfsim.errors import (
     ReferenceOutOfRange,
     RoiOutOfBounds,
 )
+import icfsim.frames as frames_module
+from icfsim.constants import DEFAULT_SEED
 from icfsim.frames import GOLDEN_FRACTION, HARMONIC_AMPLITUDE_CALIBRATED
 
 COHERENT = SourceModel.coherent()
@@ -117,6 +121,137 @@ class TestSynth:
         assert stack.metadata["kind"] == "coherent"
         assert stack.metadata["phase_modulation"] == {
             "type": "harmonic", "amplitude": 1.5, "frequency": 0.25}
+
+
+# Stacks at explicit peak levels, 23 frames of 97x5 pixels at seed 5, with
+# the SHA-256 of their frames as rendered one frame at a time.  The pins
+# depend on numpy's random streams and elementwise kernels; remake them
+# from a per-frame renderer if numpy changes those.
+RENDER_CASES = {
+    "thermal-noisy": (THERMAL, {"peak_level": 30000.0}, None,
+                      "0a9fb9fb5e32ab190f678136b5a94cc62e7f65c2c7d827095c03341be3f3b196"),
+    "coherent-noisy": (COHERENT, {"peak_level": 30000.0, "envelope_fwhm_px": 40.0}, None,
+                       "cdabb047186d8876bfbeddc32779266af6f1ac208e0bb7478ed84709f75b6c02"),
+    "noise-free": (THERMAL, {"peak_level": 8000.0, "noise": NoiseModel.none()}, None,
+                   "b047f4f9270e6c67d4609b2beed286b2c3360d707bebcc6c1b4449fe21fd1aaa"),
+    "harmonic": (COHERENT, {"peak_level": 30000.0}, HarmonicModulation(),
+                 "a13bbbfc6fbc24643c769b1a9d203cf97ae65bfb0f1f694228a3c4ce65641d04"),
+    "float": (THERMAL, {"peak_level": 30000.0, "bit_depth": None}, None,
+              "9f68dfae8c006b14d2843631729e34c495f144ff6932b35a459e11232d66be1c"),
+}
+CASE_PIXELS = 97 * 5
+
+
+def render_case(name, workers=1):
+    model, optics, modulation, _ = RENDER_CASES[name]
+    return synth_frames(model, FrameOptics(frame_width=97, frame_height=5, **optics),
+                        n=23, seed=5, modulation=modulation, workers=workers)
+
+
+def sha(frames):
+    return hashlib.sha256(frames.tobytes()).hexdigest()
+
+
+class TestRenderTasks:
+    @pytest.mark.parametrize("name", RENDER_CASES)
+    def test_stack_matches_per_frame_pin(self, name):
+        assert sha(render_case(name).frames) == RENDER_CASES[name][3]
+
+    def test_benchmark_width_matches_per_frame_pin(self):
+        stack = synth_frames(THERMAL, FrameOptics(peak_level=30000.0, frame_height=8),
+                             n=12, seed=5)
+        assert sha(stack.frames) == \
+            "9281f91490d8b715a484b214c91ea8c9a28a6ddefcf51fb0d83af8aaa95d24ee"
+
+    @pytest.mark.parametrize("name", RENDER_CASES)
+    def test_frames_equal_across_task_splits_and_workers(self, name, monkeypatch):
+        expected = render_case(name).frames
+        for frames_per_task in (1, 3, 7):
+            monkeypatch.setattr(frames_module, "_TASK_PIXELS", frames_per_task * CASE_PIXELS)
+            for workers in (1, 2, 4):
+                stack = render_case(name, workers)
+                assert stack.frames.dtype == expected.dtype
+                assert np.array_equal(stack.frames, expected), (frames_per_task, workers)
+
+    def test_one_pool_per_multi_task_call(self, monkeypatch):
+        created = []
+
+        class SpyPool(frames_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("max_workers", args[0] if args else None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames_module, "ThreadPoolExecutor", SpyPool)
+        render_case("thermal-noisy", workers=2)  # 23 frames fit one task
+        assert created == []
+        monkeypatch.setattr(frames_module, "_TASK_PIXELS", 3 * CASE_PIXELS)
+        render_case("thermal-noisy", workers=1)
+        assert created == []
+        render_case("thermal-noisy", workers=2)
+        assert created == [2]
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(frames_module, "_TASK_PIXELS", CASE_PIXELS)
+        sample_batch = frames_module.sample_batch
+        calls = []
+
+        def failing_sample_batch(model, rng, size):
+            calls.append(size)
+            if len(calls) == 5:
+                raise RuntimeError("sampling failed")
+            return sample_batch(model, rng, size)
+
+        before = set(threading.enumerate())
+        render_case("thermal-noisy", workers=2)
+        assert set(threading.enumerate()) == before
+        monkeypatch.setattr(frames_module, "sample_batch", failing_sample_batch)
+        with pytest.raises(RuntimeError, match="sampling failed"):
+            render_case("thermal-noisy", workers=2)
+        assert set(threading.enumerate()) == before
+
+    def test_saturation_counts_in_metadata(self):
+        stack = synth_frames(THERMAL, FrameOptics(peak_level=30000.0, frame_height=4),
+                             n=60, seed=3)
+        full = stack.frames == 65535
+        assert stack.metadata["saturated_pixels"] == np.count_nonzero(full) > 0
+        assert stack.metadata["saturated_frames"] == np.count_nonzero(full.any(axis=(1, 2)))
+        assert 0 < stack.metadata["saturated_frames"] < 60
+        for name in ("float", "coherent-noisy"):
+            metadata = render_case(name).metadata
+            assert metadata["saturated_pixels"] == metadata["saturated_frames"] == 0
+
+
+class TestDefaultPeakLevel:
+    @pytest.mark.parametrize("model, bit_depth, level", [
+        (THERMAL, 16, 2 * 65535 / math.log(1e7)),
+        (THERMAL, 12, 2 * 4095 / math.log(1e7)),
+        (THERMAL, None, 30000.0),
+        (COHERENT, 16, 30000.0),
+    ], ids=["thermal-16", "thermal-12", "thermal-float", "coherent-16"])
+    def test_resolved_by_kind_and_recorded(self, model, bit_depth, level):
+        optics = FrameOptics(bit_depth=bit_depth, frame_width=64, frame_height=2)
+        stack = synth_frames(model, optics, n=3, seed=2)
+        assert stack.metadata["peak_level"] == level
+        explicit = synth_frames(model, FrameOptics(peak_level=level, bit_depth=bit_depth,
+                                                   frame_width=64, frame_height=2),
+                                n=3, seed=2)
+        assert np.array_equal(stack.frames, explicit.frames)
+
+    def test_explicit_level_used_as_given(self):
+        stack = synth_frames(THERMAL, FrameOptics(peak_level=30000.0, frame_height=2),
+                             n=2, seed=2)
+        assert stack.metadata["peak_level"] == 30000.0
+
+    def test_thermal_defaults_reproduce_three_fifths_and_seven_ninths(self):
+        # At a peak level of 30000, 1.2% of these pixels clip and this seed
+        # gives V3 = 0.561 and V4 = 0.718.
+        optics = FrameOptics(noise=NoiseModel.none(), frame_height=4)
+        stack = synth_frames(THERMAL, optics, n=20_000, seed=DEFAULT_SEED)
+        # 240 columns hold the g3 and g4 offsets of a whole 60-px period
+        series = roi_average(stack, RoiSpec(width=240, height=4, reference_column=120))
+        assert series.saturated_pixels == 0
+        assert abs(g3_profile(series).visibility - 3 / 5) < 0.02
+        assert abs(g4_profile(series).visibility - 7 / 9) < 0.02
 
 
 class TestRoiAverage:
