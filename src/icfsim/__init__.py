@@ -21,9 +21,7 @@ from .analytic import (
 )
 from .constants import DEFAULT_SEED
 from .expansion import (
-    ExpansionTerm,
     assignments_enumerated,
-    expansion_terms,
     icf_general,
     term_count,
     verify_closed_form,
@@ -52,11 +50,9 @@ from .patternio import (
     write_pattern_json,
 )
 from .sources import (
-    Realization,
     SourceModel,
     coherence_envelope,
     moment,
-    sample,
     sample_batch,
     validate,
 )

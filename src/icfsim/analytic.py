@@ -184,6 +184,18 @@ class InterferencePattern:
         if self.visibility is None:
             object.__setattr__(self, "visibility", visibility(values))
 
+    def visibility_stderr(self) -> float | None:
+        """Standard error of the visibility (None without stderrs), propagated
+        from the stderrs of the largest and smallest values as if independent.
+        """
+        if self.stderrs is None:
+            return None
+        i_max, i_min = int(np.argmax(self.values)), int(np.argmin(self.values))
+        vmax, vmin = self.values[i_max], self.values[i_min]
+        s = (vmax + vmin) ** 2
+        return float(math.hypot(2.0 * vmin * self.stderrs[i_max] / s,
+                                2.0 * vmax * self.stderrs[i_min] / s))
+
 
 # Internal evaluators: written in terms of raw moments and deltas so they
 # vectorize over grids and stay analytic in x (complex-step differentiable).
@@ -274,14 +286,6 @@ def g4_point(model: SourceModel, cfg: PhaseConfig) -> float:
     return _at(model, _stack(cfg.delta))
 
 
-def _curve(model: SourceModel, pattern: ScanPattern) -> Callable:
-    """Scan-coordinate evaluator x -> g(x); vectorized and complex-safe."""
-    def f(x):
-        return _at(model, _stack(scheme_deltas(pattern.order, pattern.scheme, x,
-                                               pattern.offset)))
-    return f
-
-
 def scan(model: SourceModel, pattern: ScanPattern) -> InterferencePattern:
     """Evaluate the closed form along a scan trajectory."""
     values = _at(model, pattern.delta_array())
@@ -340,9 +344,12 @@ def extremal_phases(model: SourceModel, order: int, scheme: str,
     """
     if order not in (3, 4):
         raise UnsupportedOrder(order)
-    pattern = ScanPattern(order=order, scheme=scheme,
-                          grid=np.array([span[0]]), offset=offset)
-    f = _curve(model, pattern)
+    ScanPattern(order=order, scheme=scheme, grid=np.array([span[0]]))  # checks the scheme
+
+    def f(x):
+        """The scan curve at x; vectorized and complex-safe."""
+        return _at(model, _stack(scheme_deltas(order, scheme, x, offset)))
+
     npts = int(math.ceil((span[1] - span[0]) / _GRID_STEP)) + 1
     xs = np.linspace(span[0], span[1], npts)
     ys = np.asarray(f(xs), dtype=float)

@@ -200,10 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The type of value each option flag of ``command`` takes."""
+    """The type of value each option flag of ``command`` takes, and its choices."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: bool if action.nargs == 0
-            else action.type if action.type in (int, float) else str
+    return {action.dest: (bool if action.nargs == 0
+                          else action.type if action.type in (int, float) else str,
+                          action.choices)
             for action in sub.choices[command]._actions
             if action.option_strings and action.dest not in ("help", "config")}
 
@@ -219,7 +220,8 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
 
     A config key the subcommand does not take is a usage error; a config
     value of another type than its flag takes (null only where the default
-    is null), or a value below its ``_MINIMUM``, is a data error.
+    is null), outside the flag's choices, or below its ``_MINIMUM``, is a
+    data error.
     """
     opts = dict(_DEFAULTS[args.command])
     config = getattr(args, "config", None)
@@ -234,11 +236,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             if name not in opts:
                 parser.error(f"unknown key {key!r} in config file {config} "
                              f"for '{args.command}'")
-            expected = types.get(name)
-            if (expected is not None and not _has_type(value, expected)
-                    and not (value is None and opts[name] is None)):
+            expected, choices = types.get(name, (None, None))
+            if expected is None or (value is None and opts[name] is None):
+                pass
+            elif not _has_type(value, expected):
                 raise IcfSimError(f"{key} in config file {config} must be of type "
                                   f"{expected.__name__}, got {value!r}")
+            elif choices is not None and value not in choices:
+                raise IcfSimError(f"{key} in config file {config} must be one of "
+                                  f"{', '.join(map(str, choices))}, got {value!r}")
             opts[name] = value
     for key, value in vars(args).items():
         if key in ("command", "config", "func"):
@@ -287,16 +293,21 @@ def _write_pattern(pattern: InterferencePattern, out: str, fmt: str) -> Path:
     return path
 
 
-def _limit_lines(vis: float, order: int, kind: str) -> list[str]:
+def _limit_lines(vis: float, order: int, kind: str, err: float | None = None) -> list[str]:
+    """Visibility, classical limit and verdict; given the visibility's stderr
+    ``err``, INFO means z = (vis - limit) / err above 3."""
     if kind not in ("coherent", "thermal"):
         return [f"visibility = {vis:.9f}"]
     limit = classical_limit(order, kind)
     lines = [f"visibility = {vis:.9f}",
              f"classical limit ({kind}, order {order}) = {limit:.9f}"]
-    if vis <= limit + 1e-9:
-        lines.append("PASS: visibility within the classical bound")
+    if err is None:
+        exceeds, note = vis > limit + 1e-9, ""
     else:
-        lines.append("INFO: visibility exceeds the classical bound")
+        z = (vis - limit) / err if err > 0 else math.copysign(math.inf, vis - limit)
+        exceeds, note = z > 3.0, f" (z = {z:+.2f})"
+    lines.append(f"INFO: visibility exceeds the classical bound{note}" if exceeds
+                 else f"PASS: visibility within the classical bound{note}")
     return lines
 
 
@@ -325,23 +336,14 @@ def cmd_analytic(opts: dict) -> int:
     return 0
 
 
-def _visibility_error(pattern: InterferencePattern) -> float:
-    i_max = int(np.argmax(pattern.values))
-    i_min = int(np.argmin(pattern.values))
-    vmax, vmin = pattern.values[i_max], pattern.values[i_min]
-    emax, emin = pattern.stderrs[i_max], pattern.stderrs[i_min]
-    s = (vmax + vmin) ** 2
-    return float(math.hypot(2.0 * vmin * emax / s, 2.0 * vmax * emin / s))
-
-
 def cmd_mc(opts: dict) -> int:
     model = _model(opts)
     pattern = estimate_scan(model, _scan_pattern(opts), n_samples=opts["samples"],
                             n_batches=opts["batches"], seed=opts["seed"],
                             workers=_workers())
-    err = _visibility_error(pattern)
+    err = pattern.visibility_stderr()
     print(f"visibility = {pattern.visibility:.6f} +/- {err:.6f}")
-    for line in _limit_lines(pattern.visibility, opts["order"], opts["kind"])[1:]:
+    for line in _limit_lines(pattern.visibility, opts["order"], opts["kind"], err)[1:]:
         print(line)
     path = _write_pattern(pattern, opts["out"], opts["format"])
     print(f"wrote {path}")
@@ -459,18 +461,23 @@ def cmd_process(opts: dict) -> int:
     fmt = opts["format"]
     written = [_write_pattern(intensity, f"{out}_intensity", fmt)]
 
-    g3 = g3_profile(series, n_batches=opts["batches"])
-    print(f"g3 visibility = {g3.visibility:.6f} +/- {_visibility_error(g3):.6f}"
-          if g3.stderrs is not None else f"g3 visibility = {g3.visibility:.6f}")
+    batches = opts["batches"]
+    g3 = g3_profile(series, n_batches=batches)
+    if g3.stderrs is None:
+        print(f"warning: no standard errors from {series.n_frames} frames in {batches} "
+              f"batches: they need at least 2 batches of 2 or more frames "
+              f"({2 * max(batches, 2)} frames for {max(batches, 2)} batches)", file=sys.stderr)
+    err = g3.visibility_stderr()
+    print(f"g3 visibility = {g3.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
     written.append(_write_pattern(g3, f"{out}_g3", fmt))
     patterns = {"g3": g3}
     try:
-        g4 = g4_profile(series, n_batches=opts["batches"])
+        g4 = g4_profile(series, n_batches=batches)
     except ReferenceOutOfRange as exc:
         print(f"g4 skipped: {exc}")
     else:
-        print(f"g4 visibility = {g4.visibility:.6f} +/- {_visibility_error(g4):.6f}"
-              if g4.stderrs is not None else f"g4 visibility = {g4.visibility:.6f}")
+        err = g4.visibility_stderr()
+        print(f"g4 visibility = {g4.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
         written.append(_write_pattern(g4, f"{out}_g4", fmt))
         patterns["g4"] = g4
     for path in written:

@@ -27,7 +27,6 @@ same per-trial sums as ``icf_general``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,23 +42,6 @@ from .sources import SourceModel, coherence_envelope, moment
 MAX_ORDER = 8
 
 _A, _B, _PLUS, _MINUS = range(4)
-
-
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One theta-surviving token assignment.
-
-    ``a_count``/``b_count`` detectors take the bare source intensities;
-    ``plus_set``/``minus_set`` are the (equal-size) detector index sets
-    carrying e^{+i(theta+delta)} and e^{-i(theta+delta)} tokens.  ``weight``
-    is the term's multiplicative factor in the normalized sum, 2^-n.
-    """
-
-    a_count: int
-    b_count: int
-    plus_set: frozenset
-    minus_set: frozenset
-    weight: float
 
 
 @lru_cache(maxsize=None)
@@ -100,15 +82,6 @@ def _grouped(n: int):
     counts = np.zeros((len(rows), n + 1))
     np.add.at(counts, (row_of.ravel(), k_a), 1.0)
     return rows.astype(float), counts, rows != 0
-
-
-def expansion_terms(n: int) -> list[ExpansionTerm]:
-    """All theta-surviving assignments for order n, in enumeration order."""
-    k_a, k_b, signs = _table(n)
-    m = np.count_nonzero(signs == 1, axis=1)
-    return [ExpansionTerm(a, b, frozenset(np.flatnonzero(row == 1).tolist()),
-                          frozenset(np.flatnonzero(row == -1).tolist()), 2.0 ** -n)
-            for a, b, row in zip((k_a - m).tolist(), (k_b - m).tolist(), signs)]
 
 
 def assignments_enumerated(n: int) -> int:

@@ -11,9 +11,11 @@ profiles I_j(x), then form frame-averaged correlation profiles
                             / [I(x) I(0) I(-x) I(-2x)]
 
 with pixel offsets x measured from a reference column and converted to
-phase via 2*pi / fringe period.  The symmetric argument choices maximize
-the visibility; they correspond to scanning two detectors in opposite
-directions (third order) and adding a double-speed detector (fourth).
+phase via 2*pi / fringe period.  Values and batch-means stderrs come from
+``montecarlo.ratio_of_means``, the Monte Carlo estimator, with one frame
+per row.  The symmetric argument choices maximize the visibility; they
+correspond to scanning two detectors in opposite directions (third order)
+and adding a double-speed detector (fourth).
 
 The synthesizer draws a source realization per pulse and renders
 
@@ -41,6 +43,7 @@ from .errors import (
     ReferenceOutOfRange,
     RoiOutOfBounds,
 )
+from .montecarlo import ratio_of_means
 from .sources import SourceModel, sample_batch
 
 # Pixels per render task: enough that small frames share their numpy calls,
@@ -373,19 +376,10 @@ def _correlation_profile(series: ProcessedSeries, column_sets: np.ndarray,
         raise DivisionByZeroMean(
             "mean profile vanishes at a column used by the correlation arguments")
 
-    def ratio(prof: np.ndarray) -> np.ndarray:
-        prods = prof[:, column_sets].prod(axis=2)  # (n_frames, n_points)
-        m = prof.mean(axis=0)
-        return prods.mean(axis=0) / m[column_sets].prod(axis=1)
-
-    values = ratio(profiles)
-    n = profiles.shape[0]
-    stderrs = None
-    if n_batches >= 2 and n >= 2 * n_batches:
-        size = n // n_batches
-        batch_ratios = np.stack([
-            ratio(profiles[b * size:(b + 1) * size]) for b in range(n_batches)])
-        stderrs = batch_ratios.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    factors = profiles[:, column_sets]  # (n_frames, n_points, n_args)
+    # one frame's ratio is exactly 1, so a batch needs at least two frames
+    values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1,
+                                     n_batches if len(profiles) >= 2 * n_batches else 0)
     return InterferencePattern(xs=xs_px * series.pixel_to_phase,
                                values=values, stderrs=stderrs)
 

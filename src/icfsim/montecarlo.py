@@ -6,6 +6,8 @@ of the per-detector sample means (a ratio estimator over the same sample),
 not the true means.  Standard errors come from batch means: the sample is
 split into equal batches, the same ratio is formed per batch, and the
 standard error is the batch standard deviation over sqrt(n_batches).
+``ratio_of_means`` is that estimator; the frame pipeline's correlation
+profiles use it too, with one frame per row.
 
 Every (grid point, batch) pair owns a seeded substream spawned
 deterministically from the run seed.  The work of a call is one ordered
@@ -85,9 +87,29 @@ def _task_sums(model: SourceModel, delta: np.ndarray,
     return prod.sum(axis=-1), sums
 
 
-def _ratio(sum_prod, sums: np.ndarray, count: int):
-    """Mean product over the product of means; vectorized over leading axes."""
-    return (sum_prod / count) / np.prod(sums / count, axis=-1)
+def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches: int):
+    """Ratio of pooled means, and its batch-means standard error.
+
+    Row i of ``prod`` (rows, ...) sums a product over ``count`` draws, and
+    row i of ``factors`` (rows, ..., k) its k factors over the same draws.
+    The value pools every row.  The stderr is the standard deviation of the
+    ratios of ``n_batches`` equal groups of leading rows over
+    sqrt(n_batches), or None with fewer than two groups or empty ones.  The
+    groups are totalled in order, so the value does not depend on how the
+    rows were computed.
+    """
+    def ratio(p, f, n):
+        return (p / n) / np.prod(f / n, axis=-1)
+
+    size = len(prod) // n_batches if n_batches >= 2 else 0
+    if not size:
+        return ratio(prod.sum(axis=0), factors.sum(axis=0), count * len(prod)), None
+    cut = n_batches * size
+    groups = [a[:cut].reshape(n_batches, size, *a.shape[1:]).sum(axis=1) for a in (prod, factors)]
+    totals = [np.cumsum(g, axis=0)[-1] + a[cut:].sum(axis=0)
+              for g, a in zip(groups, (prod, factors))]
+    return (ratio(*totals, count * len(prod)),
+            ratio(*groups, count * size).std(axis=0, ddof=1) / np.sqrt(n_batches))
 
 
 def _check_batching(n_samples: int, n_batches: int) -> int:
@@ -101,22 +123,6 @@ def _check_batching(n_samples: int, n_batches: int) -> int:
         raise BadBatching(
             f"n_samples = {n_samples} is not divisible by n_batches = {n_batches}")
     return n_samples // n_batches
-
-
-def _merge(prods: np.ndarray, sums: np.ndarray, batch_size: int) -> IcfEstimate:
-    """Ratio-of-means estimate and batch-means stderr from per-batch sums."""
-    # sequential merge in batch order keeps the value worker-count independent
-    total_prod = 0.0
-    total_sums = np.zeros(sums.shape[1])
-    for sum_prod, batch in zip(prods, sums):
-        total_prod += sum_prod
-        total_sums += batch
-    n_batches = len(prods)
-    n = batch_size * n_batches
-    ratios = _ratio(prods, sums, batch_size)
-    return IcfEstimate(value=float(_ratio(total_prod, total_sums, n)),
-                       stderr=float(ratios.std(ddof=1) / np.sqrt(n_batches)),
-                       n_samples=n, n_batches=n_batches)
 
 
 def _estimate_points(model, deltas, point_seeds, batch_size, workers):
@@ -151,8 +157,10 @@ def _estimate_points(model, deltas, point_seeds, batch_size, workers):
     estimates = []
     for seeds in point_seeds:
         chunk = [next(ordered) for _ in range(0, len(seeds), per_task)]
-        estimates.append(_merge(np.concatenate([p for p, _ in chunk]),
-                                np.concatenate([s for _, s in chunk]), batch_size))
+        prods, sums = (np.concatenate(parts) for parts in zip(*chunk))
+        value, stderr = ratio_of_means(prods, sums, batch_size, len(seeds))
+        estimates.append(IcfEstimate(float(value), float(stderr),
+                                     batch_size * len(seeds), len(seeds)))
     return estimates
 
 

@@ -30,9 +30,6 @@ from .errors import (
 
 KINDS = ("coherent", "thermal", "custom")
 
-_THERMAL_MOMENTS = {2: 2.0, 3: 6.0, 4: 24.0}
-_COHERENT_MOMENTS = {2: 1.0, 3: 1.0, 4: 1.0}
-
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -52,12 +49,10 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "coherent":
-            filled = dict(_COHERENT_MOMENTS)
-        elif self.kind == "thermal":
-            filled = dict(_THERMAL_MOMENTS)
-        else:
+        if self.kind == "custom":
             filled = {int(k): float(v) for k, v in self.moments.items()}
+        else:
+            filled = {k: moment(self, k) for k in (2, 3, 4)}
         object.__setattr__(self, "moments", filled)
         object.__setattr__(self, "mean_intensity", float(self.mean_intensity))
         validate(self)
@@ -99,19 +94,6 @@ class SourceModel:
             "moments": {str(k): v for k, v in sorted(self.moments.items())},
             "coherence_width": self.coherence_width,
         }
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Instantaneous state of the source pair.
-
-    ``theta`` is the fluctuating relative phase between the two sources;
-    intensities are in the units of the model's mean intensity.
-    """
-
-    intensity_a: float
-    intensity_b: float
-    theta: float
 
 
 def validate(model: SourceModel) -> None:
@@ -181,12 +163,6 @@ def coherence_envelope(model: SourceModel, delta) -> np.ndarray:
     if not w > 0:
         raise NonpositiveWidth(f"coherence_width must be positive, got {w!r}")
     return np.exp(-(delta ** 2) / (2.0 * w * w))
-
-
-def sample(model: SourceModel, rng: np.random.Generator) -> Realization:
-    """Draw one realization: intensities first, then the relative phase."""
-    ia, ib, theta = sample_batch(model, rng, 1)
-    return Realization(float(ia[0]), float(ib[0]), float(theta[0]))
 
 
 def sample_batch(model: SourceModel, rng: np.random.Generator, size: int):

@@ -187,13 +187,11 @@ class TestExtremalPhases:
         assert vis == pytest.approx(7 / 9, abs=1e-10)
 
     def test_gradient_below_tolerance_at_extrema(self):
-        from icfsim.analytic import _curve
         x_max, x_min, _ = extremal_phases(THERMAL, 3, "symmetric_opposite")
-        f = _curve(THERMAL, ScanPattern(order=3, scheme="symmetric_opposite",
-                                        grid=np.array([0.0])))
         h = 1e-30
         for x in (x_max, x_min):
-            assert abs(f(x + 1j * h).imag / h) < 1e-10
+            z = x + 1j * h  # complex steps pass through the closed form
+            assert abs(g3_point(THERMAL, PhaseConfig((z, 0.0, -z))).imag / h) < 1e-10
 
     def test_single_detector_scheme(self):
         # with the pi/2 offset the curve is 1 + (sqrt(2)/2) cos(x + pi/4),
@@ -326,6 +324,17 @@ class TestPatternType:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             InterferencePattern(xs=np.array([0.0]), values=np.array([1.0, 2.0]))
+
+    def test_visibility_stderr_propagates_the_extreme_points(self):
+        # V = (3 - 1)/(3 + 1); dV/dmax = 2 min/(max + min)^2, dV/dmin = -2 max/(...)^2
+        p = InterferencePattern(xs=np.arange(3.0), values=np.array([2.0, 3.0, 1.0]),
+                                stderrs=np.array([9.0, 0.4, 0.2]))
+        assert p.visibility_stderr() == pytest.approx(math.hypot(2 * 0.4 / 16, 6 * 0.2 / 16),
+                                                      rel=1e-15)
+
+    def test_visibility_stderr_none_without_stderrs(self):
+        p = InterferencePattern(xs=np.arange(2.0), values=np.array([2.0, 1.0]))
+        assert p.visibility_stderr() is None
 
 
 class TestClosedForm:

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from icfsim import read_pattern_csv, read_pattern_json
+from icfsim import SourceModel, estimate_scan, read_pattern_csv, read_pattern_json
 import icfsim.cli as cli
 from icfsim.cli import main
 
@@ -137,6 +138,37 @@ class TestVerify:
         assert err.startswith("error:") and "trials" in err
 
 
+
+VERDICT = re.compile(r"^(PASS: visibility within|INFO: visibility exceeds) the classical "
+                     r"bound \(z = ([+-]\d+\.\d\d)\)$", re.M)
+
+
+class TestMcVerdict:
+    def test_default_run_passes_with_z_on_the_verdict_line(self, tmp_path, capsys):
+        code, text, _ = run(capsys, "mc", "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert text.splitlines()[:3] == [
+            "visibility = 0.819173 +/- 0.000698",
+            "classical limit (coherent, order 3) = 0.818181818",
+            "PASS: visibility within the classical bound (z = +1.42)"]
+
+    def test_info_rate_small_when_the_truth_sits_at_the_limit(self):
+        # coherent order 3 reaches 9/11 exactly, so z sits near 0 apart from
+        # the max/min selection bias of a noisy scan; `mc` defaults but 1e4
+        # samples per point
+        scan_pattern = cli._scan_pattern(dict(cli._DEFAULTS["mc"]))
+        zs = []
+        for seed in range(40):
+            p = estimate_scan(SourceModel.coherent(), scan_pattern, 10_000, 100, seed=seed,
+                              workers=2)
+            lines = cli._limit_lines(p.visibility, 3, "coherent", p.visibility_stderr())
+            verdict, z = VERDICT.search(lines[-1]).groups()
+            zs.append(float(z))
+            assert verdict.startswith("INFO") == (float(z) > 3)
+        assert sum(z > 3 for z in zs) <= 2
+        assert np.median(zs) < 2
+
+
 class TestFramesCli:
     def test_synth_then_process_default_noise(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"
@@ -184,6 +216,23 @@ class TestFramesCli:
                          "--out", str(stack_dir))
         assert code == 0
         assert (stack_dir / "frame_0000.csv").exists()
+
+    @pytest.mark.parametrize("batches, needed", [("30", "60 frames for 30 batches"),
+                                                 ("-3", "4 frames for 2 batches")])
+    def test_process_warns_when_stderrs_are_dropped(self, tmp_path, capsys, batches, needed):
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "40", "--frame-height", "4",
+            "--out", str(stack_dir))
+        code, text, err = run(capsys, "process", str(stack_dir), "--batches", batches,
+                              "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert err == (f"warning: no standard errors from 40 frames in {batches} batches: "
+                       f"they need at least 2 batches of 2 or more frames ({needed})\n")
+        assert "+/-" not in text and "g3 visibility = " in text and "warning" not in text
+        code, text, err = run(capsys, "process", str(stack_dir), "--batches", "20",
+                              "--out", str(tmp_path / "run"))
+        assert (code, err) == (0, "")
+        assert "+/-" in text
 
     def test_process_plot(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"
@@ -346,6 +395,20 @@ class TestConfigTypes:
         assert text == ""
         assert err.startswith("error: ") and key in err and "int" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, content, key", [
+        ("analytic", {"order": 5}, "order"),
+        ("synth", {"kind": "bogus"}, "kind"),
+    ], ids=["analytic-order-5", "synth-kind-bogus"])
+    def test_value_outside_choices_exit_1(self, tmp_path, capsys, command, content, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        code, text, err = run(capsys, command, "--config", str(config),
+                              "--out", str(tmp_path / "out"))
+        assert (code, text) == (1, "")
+        assert err.startswith(f"error: {key} in config file ") and "must be one of" in err
+        assert repr(content[key]) in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
 
     def test_matching_types_accepted(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -8,7 +8,6 @@ from icfsim import (
     PhaseConfig,
     SourceModel,
     assignments_enumerated,
-    expansion_terms,
     g2_point,
     g3_point,
     g4_point,
@@ -77,19 +76,11 @@ class TestTermBookkeeping:
             assert np.array_equal(active[i], active[j])
         assert counts.sum() == term_count(n)
 
-    def test_terms_are_balanced_and_weighted(self):
-        for term in expansion_terms(4):
-            assert len(term.plus_set) == len(term.minus_set)
-            m = len(term.plus_set)
-            assert term.a_count + term.b_count + 2 * m == 4
-            assert term.weight == 2.0 ** -4
-            assert not term.plus_set & term.minus_set
-
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             icf_general(COHERENT, np.zeros(9))
         with pytest.raises(OrderTooLarge):
-            expansion_terms(9)
+            term_count(9)
 
     @pytest.mark.parametrize("delta", [
         [], np.zeros((2, 3)), [0.0, float("nan"), 1.0], [float("inf"), 0.0],

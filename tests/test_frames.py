@@ -416,6 +416,49 @@ class TestCorrelationProfiles:
         assert g3_few.stderrs is None  # 40 frames cannot fill 30 batches
 
 
+
+def _pin_profiles(n):
+    """n seeded thermal fringe profiles of 9 columns, period 8 px."""
+    rng = np.random.default_rng(31)
+    ia, ib = rng.exponential(size=(2, 1005))
+    theta = rng.uniform(0, 2 * np.pi, 1005)
+    fringe = np.cos(2 * np.pi * np.arange(9) / 8 + theta[:, None])
+    profiles = (ia + ib)[:, None] + 2 * np.sqrt(ia * ib)[:, None] * fringe + 0.25
+    return ProcessedSeries(profiles=profiles[:n], reference_column=4,
+                           pixel_to_phase=2 * np.pi / 8)
+
+
+# (frames, batches) -> g3 and g4 (values, stderrs), made before the frame
+# profiles shared the Monte Carlo estimator; 1005 frames leave 5 frames out
+# of the batches, and 40 frames cannot fill 30 batches of two.
+PINNED_PROFILES = {
+    (1000, 10): (
+        ([4.0175107046358, 1.9295334973076697, 1.4463519567324497, 1.708865909283319],
+         [0.49502036968060986, 0.177370305983417, 0.07268943889445703, 0.11511256989251849]),
+        ([9.544293550239168, 2.3405682685710376], [1.8596172155025594, 0.19225205238727616])),
+    (1005, 10): (
+        ([4.006741300936074, 1.9214767430355773, 1.4418869339712834, 1.7035305495225412],
+         [0.49502036968060986, 0.177370305983417, 0.07268943889445703, 0.11511256989251849]),
+        ([9.506141642862938, 2.3265772735883092], [1.8596172155025594, 0.19225205238727616])),
+    (40, 30): (
+        ([2.28767454272305, 1.4065057603257338, 1.580219196140079, 2.2450673719580023], None),
+        ([3.190731767540752, 2.059448843267122], None)),
+}
+
+
+@pytest.mark.parametrize("frames, batches", list(PINNED_PROFILES))
+def test_profiles_match_pins(frames, batches):
+    series = _pin_profiles(frames)
+    for profile, (values, stderrs) in zip((g3_profile, g4_profile),
+                                          PINNED_PROFILES[frames, batches]):
+        got = profile(series, n_batches=batches)
+        np.testing.assert_allclose(got.values, values, rtol=1e-13, atol=0)
+        if stderrs is None:
+            assert got.stderrs is None
+        else:
+            np.testing.assert_allclose(got.stderrs, stderrs, rtol=1e-13, atol=0)
+
+
 class TestHarmonicModulation:
     def test_calibrated_amplitude_minimizes_bessel_leakage(self):
         # the frozen constant must sit where J0(kA) is small for k = 1..3;

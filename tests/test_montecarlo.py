@@ -146,16 +146,16 @@ class TestDeterminism:
         assert np.array_equal(p1.values[:3], p2.values)
 
     def test_batch_mean_set_invariant_under_merge_order(self):
-        from icfsim.montecarlo import _task_sums, _ratio
+        from icfsim.montecarlo import _task_sums, ratio_of_means
         delta = np.array([0.3, 0.0, -0.3])
         root = np.random.SeedSequence(55)
         seeds = root.spawn(20)
-        ratios = [_ratio(*_task_sums(THERMAL, delta, [s], 1000), count=1000)[0]
+        ratios = [ratio_of_means(*_task_sums(THERMAL, delta, [s], 1000), 1000, 1)[0]
                   for s in seeds]
         rng = np.random.default_rng(0)
         for _ in range(5):
             order = rng.permutation(20)
-            shuffled = [_ratio(*_task_sums(THERMAL, delta, [seeds[i]], 1000), count=1000)[0]
+            shuffled = [ratio_of_means(*_task_sums(THERMAL, delta, [seeds[i]], 1000), 1000, 1)[0]
                         for i in order]
             assert sorted(shuffled) == sorted(ratios)
 
@@ -188,11 +188,11 @@ class TestEstimateScan:
 
 class TestStderrScaling:
     def test_stderr_is_batch_std_over_sqrt_batches(self):
-        from icfsim.montecarlo import _task_sums, _ratio
+        from icfsim.montecarlo import _task_sums, ratio_of_means
         delta = np.array([0.6, 0.0])
         est = estimate_icf(THERMAL, delta, 20_000, n_batches=20, seed=77)
         seeds = np.random.SeedSequence(77).spawn(20)
-        ratios = np.array([_ratio(*_task_sums(THERMAL, delta, [s], 1000), count=1000)[0]
+        ratios = np.array([ratio_of_means(*_task_sums(THERMAL, delta, [s], 1000), 1000, 1)[0]
                            for s in seeds])
         assert est.stderr == pytest.approx(ratios.std(ddof=1) / math.sqrt(20),
                                            rel=1e-12)
@@ -226,3 +226,57 @@ class TestEnvelopeScan:
                               grid=np.linspace(0.5, 2 * np.pi, 25))
         est = estimate_scan(model, pattern, 100_000, seed=403)
         assert est.visibility < 0.01
+
+
+# estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
+# batch), seed 2718, as float.hex of (values, stderrs); made before the
+# estimator was shared with the frame pipeline.
+PINNED_SCANS = {
+    ("coherent", 3, "symmetric_opposite"): (
+        ["0x1.3fd8ad6246e9fp+1", "0x1.00f23696d29a0p-2", "0x1.002c50b9c0084p-2",
+         "0x1.4006f6f941108p+1"],
+        ["0x1.023d035fc5f2cp-7", "0x1.fff7b38614969p-12", "0x1.12566f45ef1f4p-11",
+         "0x1.008da1ec51b8cp-7"]),
+    ("thermal", 4, "four_point_double_speed"): (
+        ["0x1.77e513f6afdafp+4", "0x1.d5eb9c968122bp+1", "0x1.ddd3b3865f3ecp+1",
+         "0x1.94896abcecfbcp+4"],
+        ["0x1.7d9594d196847p-2", "0x1.d66bae406b1b9p-5", "0x1.bf2fa5fd245edp-5",
+         "0x1.7c23aa568d7efp-1"]),
+    ("thermal", 3, "single_detector"): (
+        ["0x1.fd4c1d3e894a4p+1", "0x1.9e94adb44fc66p+0", "0x1.b76fff48e42a5p+1",
+         "0x1.057030c406d21p+2"],
+        ["0x1.42b5555877681p-5", "0x1.e6abf67f78c2cp-7", "0x1.5edcd87eed176p-5",
+         "0x1.478229af67577p-5"]),
+}
+
+
+class TestRatioOfMeans:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(PINNED_SCANS), ids=lambda c: "-".join(map(str, c)))
+    def test_scan_matches_pinned_bits(self, case, workers):
+        kind, order, scheme = case
+        pattern = ScanPattern(order=order, scheme=scheme, grid=np.linspace(0.0, 2 * np.pi, 4))
+        est = estimate_scan(SourceModel(kind), pattern, 100_000, n_batches=10, seed=2718,
+                            workers=workers)
+        assert ([v.hex() for v in est.values.tolist()],
+                [v.hex() for v in est.stderrs.tolist()]) == PINNED_SCANS[case]
+
+    def test_leftover_rows_enter_the_value_only(self):
+        from icfsim.montecarlo import ratio_of_means
+        rng = np.random.default_rng(3)
+        factors = rng.random((23, 5, 2)) + 0.5
+        prod = factors.prod(axis=-1)
+        value, stderr = ratio_of_means(prod, factors, 1, 4)
+        assert np.allclose(value, prod.mean(axis=0) / factors.mean(axis=0).prod(axis=-1),
+                           rtol=1e-14)
+        # four groups of five rows; the last three rows join no group
+        groups = [prod[k:k + 5].mean(axis=0) / factors[k:k + 5].mean(axis=0).prod(axis=-1)
+                  for k in range(0, 20, 5)]
+        assert np.allclose(stderr, np.std(groups, axis=0, ddof=1) / 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_batches", [-3, 0, 1, 24])
+    def test_no_stderr_without_two_filled_groups(self, n_batches):
+        from icfsim.montecarlo import ratio_of_means
+        factors = np.random.default_rng(4).random((23, 3, 2)) + 0.5
+        value, stderr = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
+        assert stderr is None and value.shape == (3,)

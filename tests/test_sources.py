@@ -6,11 +6,9 @@ import pytest
 from scipy import integrate, stats
 
 from icfsim import (
-    Realization,
     SourceModel,
     coherence_envelope,
     moment,
-    sample,
     sample_batch,
     validate,
 )
@@ -116,15 +114,14 @@ class TestMoment:
 class TestSampling:
     def test_coherent_intensities_exact(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            r = sample(SourceModel.coherent(mean_intensity=1.0), rng)
-            assert r.intensity_a == 1.0
-            assert r.intensity_b == 1.0
-            assert 0.0 <= r.theta < 2 * np.pi
+        ia, ib, theta = sample_batch(SourceModel.coherent(mean_intensity=1.0), rng, 100)
+        assert np.all(ia == 1.0)
+        assert np.all(ib == 1.0)
+        assert np.all((0.0 <= theta) & (theta < 2 * np.pi))
 
     def test_custom_not_samplable(self):
         with pytest.raises(CustomModelNotSamplable):
-            sample(SourceModel.custom({2: 2.0}), np.random.default_rng(0))
+            sample_batch(SourceModel.custom({2: 2.0}), np.random.default_rng(0), 1)
 
     def test_thermal_mean_and_g2(self):
         rng = np.random.default_rng(42)
@@ -156,11 +153,6 @@ class TestSampling:
         b = sample_batch(SourceModel.thermal(), np.random.default_rng(123), 1000)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-
-    def test_single_sample_matches_dataclass(self):
-        r = sample(SourceModel.thermal(), np.random.default_rng(5))
-        assert isinstance(r, Realization)
-        assert r.intensity_a >= 0 and r.intensity_b >= 0
 
 
 class TestEnvelope:
