@@ -9,21 +9,23 @@ standard error is the batch standard deviation over sqrt(n_batches).
 ``ratio_of_means`` is that estimator; the frame pipeline's correlation
 profiles use it too, with one frame per row.
 
-Every (grid point, batch) pair owns a seeded substream spawned
-deterministically from the run seed.  The work of a call is one ordered
-list of tasks; a task is a run of consecutive batches of one grid point,
-sized from the batch size alone.  All tasks of a call go to one thread pool
-(or run inline for a single worker), and each point's per-batch sums are
-merged in fixed batch order, so results are bit-identical regardless of
-how many workers share the tasks.
+Every batch owns a seeded substream spawned from the run seed, and in a
+scan it serves every grid point: the draws are reduced once to monomial
+sums that each point contracts with its own coefficients.  So a point's
+value does not depend on the rest of the grid, and the errors of a scan's
+points are correlated.  A call's work is one list of tasks, runs of
+consecutive batches sized from the batch size alone, on one thread pool
+(or inline) and merged in batch order: results do not depend on workers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .errors import BadBatching
 # module because perfbench's traced run wraps it under this name.
 from .sources import (  # noqa: F401
     SourceModel,
+    coherence_envelope,
     detector_intensities,
     detector_rows,
     sample_batch,
@@ -70,13 +73,10 @@ def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], size: int,
 def _task_sums(model: SourceModel, delta: np.ndarray,
                seeds: list[np.random.SeedSequence], size: int,
                lock=contextlib.nullcontext()):
-    """Per-batch sums for a run of consecutive batches of one point.
-
-    Batch k draws ``size`` samples from ``seeds[k]``.  Returns the sums of
-    the detector-intensity products, shape (batches,), and the per-detector
-    intensity sums, shape (batches, detectors).  Every reduction runs along
-    a batch's own row, so a batch's sums do not depend on which run of
-    batches it was computed in.
+    """Per-batch sums of the detector-intensity products, shape (batches,),
+    and of each detector's intensity, shape (batches, detectors), where batch
+    k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
+    batch's own row, so it does not depend on the run of batches.
     """
     prod = np.ones((len(seeds), size))
     sums = np.empty((len(seeds), len(delta)))
@@ -85,6 +85,62 @@ def _task_sums(model: SourceModel, delta: np.ndarray,
         sums[:, j] = row.sum(axis=-1)
         prod *= row
     return prod.sum(axis=-1), sums
+
+
+def _times(a, b, out):
+    """a * b, written into ``out`` unless a factor is None, which stands for 1."""
+    if a is None or b is None:
+        return b if a is None else a
+    return np.multiply(a, b, out=out)
+
+
+def _power_sums(model: SourceModel, order: int,
+                seeds: list[np.random.SeedSequence], size: int,
+                lock=contextlib.nullcontext()):
+    """Per-batch sums, drawn as in ``_task_sums``, of the monomials
+    base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
+    ``detector_rows``, shape (batches, monomials), and of base, c and s.
+    """
+    ia, ib, theta = _draw(model, seeds, size, lock)
+    amp = 2.0 * np.sqrt(ia * ib)  # the draws are private: the terms reuse them
+    base = np.add(ia, ib, out=ia)
+    c = np.multiply(np.cos(theta, out=ib), amp, out=ib)
+    s = np.multiply(np.sin(theta, out=theta), amp, out=theta)
+    base_pow = [None, *itertools.accumulate([base] * order, np.multiply)]  # None: base^0
+    c_pow, cs_pow, term = np.empty_like(base), np.empty_like(base), amp
+    sums, cj = [], None  # cj holds c^j, and t below c^j s^k
+    for j in range(order + 1):
+        t = cj
+        for k in range(order + 1 - j):
+            sums.append(_times(t, base_pow[order - j - k], term).sum(axis=-1))
+            if k < order - j:
+                t = _times(t, s, cs_pow)
+        if j < order:
+            cj = _times(cj, c, c_pow)
+    return np.stack(sums, axis=-1), np.stack([a.sum(axis=-1) for a in (base, c, s)], axis=-1)
+
+
+def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
+               linear: np.ndarray):
+    """Per-batch product and detector sums at phases ``deltas`` (points,
+    detectors) from ``_power_sums``: detector j sees base + kc_j c - ks_j s.
+    The contraction is elementwise, not a matrix product, so a point's sums
+    do not depend on the rest of the grid.
+    """
+    env = coherence_envelope(model, deltas)
+    kc, ks = env * np.cos(deltas), env * np.sin(deltas)
+    order = deltas.shape[1]
+    # coef[p, j, k] multiplies base^(d-j-k) c^j s^k after d detectors
+    coef = np.zeros((len(deltas), order + 1, order + 1))
+    coef[:, 0, 0] = 1.0
+    for d in range(order):
+        prev = coef.copy()
+        coef[:, 1:, :] += kc[:, d, None, None] * prev[:, :-1, :]
+        coef[:, :, 1:] -= ks[:, d, None, None] * prev[:, :, :-1]
+    coef = coef[:, np.add.outer(range(order + 1), range(order + 1)) <= order]
+    prod = (powers[:, None, :] * coef).sum(axis=-1)
+    base, c, s = (linear[:, None, None, i] for i in range(3))
+    return prod, base + kc * c - ks * s
 
 
 def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches: int):
@@ -115,53 +171,39 @@ def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches:
 def _check_batching(n_samples: int, n_batches: int) -> int:
     if n_batches < 10:
         raise BadBatching(f"need at least 10 batches for a standard error, got {n_batches}")
-    if n_samples // n_batches < 1:
-        raise BadBatching(
-            f"need at least one sample per batch, got n_samples = {n_samples} "
-            f"for n_batches = {n_batches}")
+    # one sample makes a batch's ratio exactly 1, and its spread no error
+    if n_samples // n_batches < 2:
+        raise BadBatching(f"need at least two samples per batch, got "
+                          f"n_samples = {n_samples} for n_batches = {n_batches}")
     if n_samples % n_batches != 0:
         raise BadBatching(
             f"n_samples = {n_samples} is not divisible by n_batches = {n_batches}")
     return n_samples // n_batches
 
 
-def _estimate_points(model, deltas, point_seeds, batch_size, workers):
-    """One estimate per (delta, batch seeds) point, from one task list.
-
-    A task is a run of at most ``_TASK_SAMPLES // batch_size`` (but at least
-    one) consecutive batches of one point; the split depends on the batch
-    size only, never on ``workers``.
+def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
+                workers: int) -> list[np.ndarray]:
+    """Run ``task_sums(seeds, size, lock)`` over the batch seeds spawned from
+    ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
+    batches, and join the per-batch rows it returns in batch order.
     """
+    batch_size = _check_batching(n_samples, n_batches)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    seeds = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed).spawn(n_batches)
     per_task = max(1, _TASK_SAMPLES // batch_size)
-    tasks = [(delta, seeds[k:k + per_task])
-             for delta, seeds in zip(deltas, point_seeds)
-             for k in range(0, len(seeds), per_task)]
+    tasks = [seeds[k:k + per_task] for k in range(0, len(seeds), per_task)]
 
     # Sampling holds the interpreter lock for most of its time and releases
     # it for many short draws, so two threads sampling at once mostly wait
-    # for each other; one samples while the others form detector rows.
-    sampling = threading.Lock()
-
-    def run(task):
-        delta, seeds = task
-        return _task_sums(model, delta, seeds, batch_size, sampling)
-
+    # for each other; one samples while the others reduce their samples.
+    run = partial(task_sums, size=batch_size, lock=threading.Lock())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(task) for task in tasks]
-    ordered = iter(results)
-    estimates = []
-    for seeds in point_seeds:
-        chunk = [next(ordered) for _ in range(0, len(seeds), per_task)]
-        prods, sums = (np.concatenate(parts) for parts in zip(*chunk))
-        value, stderr = ratio_of_means(prods, sums, batch_size, len(seeds))
-        estimates.append(IcfEstimate(float(value), float(stderr),
-                                     batch_size * len(seeds), len(seeds)))
-    return estimates
+    return [np.concatenate(parts) for parts in zip(*results)]
 
 
 def estimate_icf(model: SourceModel, delta, n_samples: int,
@@ -169,10 +211,10 @@ def estimate_icf(model: SourceModel, delta, n_samples: int,
                  workers: int = 1) -> IcfEstimate:
     """Estimate the normalized correlation at one detector-phase tuple."""
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    batch_size = _check_batching(n_samples, n_batches)
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    return _estimate_points(model, [delta], [root.spawn(n_batches)],
-                            batch_size, workers)[0]
+    prods, sums = _batch_sums(partial(_task_sums, model, delta), n_samples, n_batches,
+                              seed, workers)
+    value, stderr = ratio_of_means(prods, sums, n_samples // n_batches, n_batches)
+    return IcfEstimate(float(value), float(stderr), n_samples, n_batches)
 
 
 def estimate_scan(model: SourceModel, pattern: ScanPattern, n_samples: int,
@@ -180,15 +222,13 @@ def estimate_scan(model: SourceModel, pattern: ScanPattern, n_samples: int,
                   workers: int = 1) -> InterferencePattern:
     """Estimate the correlation at every grid point of a scan pattern.
 
-    Each grid point gets its own spawned substream (index-keyed, so the
-    estimate at a point does not depend on the rest of the grid).
+    Every point shares the draws of the batch seeds ``estimate_icf`` uses,
+    so its value equals ``estimate_icf`` there to rounding, whatever the
+    rest of the grid; the errors of different points are correlated.
     """
-    batch_size = _check_batching(n_samples, n_batches)
     deltas = pattern.delta_array()
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    estimates = _estimate_points(
-        model, deltas, [ps.spawn(n_batches) for ps in root.spawn(len(deltas))],
-        batch_size, workers)
-    return InterferencePattern(xs=pattern.grid,
-                               values=np.array([e.value for e in estimates]),
-                               stderrs=np.array([e.stderr for e in estimates]))
+    powers, linear = _batch_sums(partial(_power_sums, model, deltas.shape[1]),
+                                 n_samples, n_batches, seed, workers)
+    values, stderrs = ratio_of_means(*_scan_sums(model, deltas, powers, linear),
+                                     n_samples // n_batches, n_batches)
+    return InterferencePattern(xs=pattern.grid, values=values, stderrs=stderrs)

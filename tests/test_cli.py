@@ -98,6 +98,16 @@ class TestMc:
         assert 0.30 < vis < 0.60
 
 
+    def test_one_sample_batches_exit_1(self, tmp_path, capsys):
+        # a one-sample batch has a ratio of exactly 1, so no spread to measure
+        out = tmp_path / "p.csv"
+        code, text, err = run(capsys, "mc", "--kind", "thermal", "--samples", "100",
+                              "--batches", "100", "--out", str(out))
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error:") and "two samples per batch" in err
+        assert not out.exists()
+
     def test_zero_samples_exit_1(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "mc", "--samples", "0", "--out", str(out))
@@ -148,9 +158,9 @@ class TestMcVerdict:
         code, text, _ = run(capsys, "mc", "--out", str(tmp_path / "p.csv"))
         assert code == 0
         assert text.splitlines()[:3] == [
-            "visibility = 0.819173 +/- 0.000698",
+            "visibility = 0.817301 +/- 0.000694",
             "classical limit (coherent, order 3) = 0.818181818",
-            "PASS: visibility within the classical bound (z = +1.42)"]
+            "PASS: visibility within the classical bound (z = -1.27)"]
 
     def test_info_rate_small_when_the_truth_sits_at_the_limit(self):
         # coherent order 3 reaches 9/11 exactly, so z sits near 0 apart from
