@@ -7,8 +7,11 @@ synthetic frame stack), ``process`` (frame stack -> intensity and
 correlation patterns).
 
 Every stochastic subcommand is deterministic given its full flag set; the
-seed defaults to 12345.  A JSON config file may supply any long-option
-value (keys use underscores); explicit flags win over the config file.
+seed defaults to 12345.  ``build_parser`` declares each option once, with
+its default.  A JSON config file (``--config``) may supply any option of
+the subcommand (keys use underscores or hyphens); each value is checked by
+its flag's own type, choices and minimum and becomes that option's default,
+so defaults < config file < explicit flags.
 Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
@@ -49,7 +52,7 @@ from .frames import (
 )
 from .montecarlo import estimate_scan
 from .patternio import write_pattern_csv, write_pattern_json
-from .sources import SourceModel
+from .sources import KINDS, SourceModel
 from .svgplot import write_pattern_svg
 
 _SCHEME_NAMES = {
@@ -62,29 +65,6 @@ _SCHEME_NAMES = {
 }
 _DEFAULT_SCHEME = {2: "symmetric_opposite", 3: "symmetric_opposite",
                    4: "four_point_double_speed"}
-
-_DEFAULTS = {
-    "analytic": {"kind": "coherent", "order": 3, "scheme": None,
-                 "grid_points": 721, "offset": math.pi / 2,
-                 "coherence_width": None, "moments": None,
-                 "out": "pattern", "format": "csv", "plot": None},
-    "mc": {"kind": "coherent", "order": 3, "scheme": None, "grid_points": 25,
-           "samples": 100000, "batches": 100, "seed": DEFAULT_SEED,
-           "offset": math.pi / 2, "coherence_width": None, "moments": None,
-           "out": "pattern", "format": "csv", "plot": None},
-    "limits": {"out": None, "format": "csv"},
-    "verify": {"trials": 1000, "seed": DEFAULT_SEED},
-    "synth": {"kind": "coherent", "frames": 500, "seed": DEFAULT_SEED,
-              "period_px": 60.0, "envelope_fwhm_px": None,
-              "peak_level": None, "noise_sigma": 300.0, "poisson": True,
-              "bit_depth": 16, "frame_width": 600, "frame_height": 50,
-              "phase_modulation": "uniform", "mod_amplitude": None,
-              "mod_frequency": None, "out": "stack", "format": "pgm"},
-    "process": {"roi": None, "ref_col": None, "period_px": None,
-                "batches": 10, "out": "pattern", "format": "csv",
-                "plot": None},
-}
-
 
 # Smallest accepted value of each integer option, checked once for flags and
 # config files alike.
@@ -101,12 +81,11 @@ def _workers() -> int:
     return min(2, cpus)
 
 
-def _roi_arg(text: str) -> str:
+def _roi_arg(text: str) -> tuple[int, ...]:
     parts = text.split(",")
-    if len(parts) != 4 or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected x0,y0,w,h integers, got {text!r}")
-    return text
+    if len(parts) != 4 or not all(p.strip().removeprefix("-").isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(f"expected x0,y0,w,h integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,69 +100,73 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="RUN.JSON",
                        help="JSON file supplying option values (flags override)")
 
-    def add_model(p):
-        p.add_argument("--kind", choices=("coherent", "thermal", "custom"))
-        p.add_argument("--coherence-width", type=float, dest="coherence_width",
-                       help="Gaussian coherence envelope width (rad)")
-
-    def add_scan(p):
-        p.add_argument("--order", type=int, choices=(2, 3, 4))
-        p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--offset", type=float,
-                       help="fixed third-detector phase for single-detector scans (rad)")
-
-    def add_output(p, formats=("csv", "json")):
-        p.add_argument("--out", help="output path (or prefix for multi-file output)")
-        p.add_argument("--format", choices=formats)
+    def add_output(p):
+        p.add_argument("--out", default="pattern",
+                       help="output path (or prefix for multi-file output)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--plot", metavar="SVG", help="also write an SVG plot")
 
-    p = sub.add_parser("analytic", help="closed-form scan and visibility")
-    add_common(p); add_model(p); add_scan(p); add_output(p)
+    def add_scan(name, text, grid_points):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--kind", choices=KINDS, default="coherent")
+        p.add_argument("--coherence-width", type=float, dest="coherence_width",
+                       help="Gaussian coherence envelope width (rad)")
+        p.set_defaults(moments=None)  # a custom model's table: config files only
+        p.add_argument("--order", type=int, choices=(2, 3, 4), default=3)
+        p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
+        p.add_argument("--grid-points", type=int, dest="grid_points", default=grid_points)
+        p.add_argument("--offset", type=float, default=math.pi / 2,
+                       help="fixed third-detector phase for single-detector scans (rad)")
+        add_output(p)
+        return p
 
-    p = sub.add_parser("mc", help="Monte Carlo scan with error bars")
-    add_common(p); add_model(p); add_scan(p); add_output(p)
-    p.add_argument("--samples", type=int, help="samples per grid point")
-    p.add_argument("--batches", type=int, help="batches for standard errors")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    add_scan("analytic", "closed-form scan and visibility", grid_points=721)
+
+    p = add_scan("mc", "Monte Carlo scan with error bars", grid_points=25)
+    p.add_argument("--samples", type=int, default=100000, help="samples per grid point")
+    p.add_argument("--batches", type=int, default=100, help="batches for standard errors")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})")
 
     p = sub.add_parser("limits", help="table of classical visibility limits")
     add_common(p)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="certify closed forms against the expansion oracle")
     add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("synth", help="write a synthetic frame stack")
     add_common(p)
-    p.add_argument("--kind", choices=("coherent", "thermal"))
-    p.add_argument("--frames", type=int, help="number of single-pulse frames")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--period-px", type=float, dest="period_px")
+    p.add_argument("--kind", choices=("coherent", "thermal"), default="coherent")
+    p.add_argument("--frames", type=int, default=500, help="number of single-pulse frames")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--period-px", type=float, dest="period_px", default=60.0)
     p.add_argument("--envelope-fwhm-px", type=float, dest="envelope_fwhm_px")
     p.add_argument("--peak-level", type=float, dest="peak_level",
                    help="counts at a coherent fringe maximum (default 30000; "
                         "thermal with a bit depth: 2(2^bits-1)/ln(1e7), so "
                         "pixels almost never clip)")
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma",
+    p.add_argument("--noise-sigma", type=float, dest="noise_sigma", default=300.0,
                    help="Gaussian read noise (counts); 0 disables")
     p.add_argument("--no-poisson", dest="poisson", action="store_false",
-                   default=None, help="disable Poisson shot noise")
-    p.add_argument("--bit-depth", type=int, dest="bit_depth",
+                   help="disable Poisson shot noise")
+    p.add_argument("--bit-depth", type=int, dest="bit_depth", default=16,
                    help="camera bit depth; 0 keeps float frames")
-    p.add_argument("--frame-width", type=int, dest="frame_width")
-    p.add_argument("--frame-height", type=int, dest="frame_height")
+    p.add_argument("--frame-width", type=int, dest="frame_width", default=600)
+    p.add_argument("--frame-height", type=int, dest="frame_height", default=50)
     p.add_argument("--phase-modulation", choices=("uniform", "harmonic"),
-                   dest="phase_modulation")
+                   dest="phase_modulation", default="uniform")
     p.add_argument("--mod-amplitude", type=float, dest="mod_amplitude",
                    help="harmonic drive amplitude (rad)")
     p.add_argument("--mod-frequency", type=float, dest="mod_frequency",
                    help="harmonic drive frequency (cycles per frame)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=("pgm", "csv"), help="frame file format")
+    p.add_argument("--out", default="stack", help="output directory")
+    p.add_argument("--format", choices=("pgm", "csv"), default="pgm",
+                   help="frame file format")
 
     p = sub.add_parser("process", help="process a frame stack into patterns")
     add_common(p)
@@ -193,66 +176,69 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference (x = 0) column, relative to the ROI")
     p.add_argument("--period-px", type=float, dest="period_px",
                    help="fringe period override (px)")
-    p.add_argument("--batches", type=int, help="frame batches for standard errors")
+    p.add_argument("--batches", type=int, default=10, help="frame batches for standard errors")
     add_output(p)
 
     return parser
 
 
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The type of value each option flag of ``command`` takes, and its choices."""
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: (bool if action.nargs == 0
-                          else action.type if action.type in (int, float) else str,
-                          action.choices)
-            for action in sub.choices[command]._actions
-            if action.option_strings and action.dest not in ("help", "config")}
+    return sub.choices[command]
 
 
-def _has_type(value, expected: type) -> bool:
-    if isinstance(value, bool):
-        return expected is bool
-    return isinstance(value, (int, float) if expected is float else expected)
+def _config_value(key: str, value, action: argparse.Action, path: str):
+    """``value`` of config key ``key``, checked as its option's flag would be."""
+    if value is None and action.default is None:
+        return value
+    expected = (bool if action.nargs == 0
+                else action.type if action.type in (int, float) else str)
+    if isinstance(value, bool) != (expected is bool) or not isinstance(
+            value, (int, float) if expected is float else expected):
+        raise IcfSimError(f"{key} in config file {path} must be of type "
+                          f"{expected.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise IcfSimError(f"{key} in config file {path} must be one of "
+                          f"{', '.join(map(str, action.choices))}, got {value!r}")
+    try:
+        return value if action.type in (None, int, float) else action.type(value)
+    except argparse.ArgumentTypeError as exc:
+        raise IcfSimError(f"{key} in config file {path}: {exc}") from None
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge defaults, config-file values, and explicit flags (flags win).
+def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
+    """Options of the command line ``argv``: defaults < config file < flags.
 
-    A config key the subcommand does not take is a usage error; a config
-    value of another type than its flag takes (null only where the default
-    is null), outside the flag's choices, or below its ``_MINIMUM``, is a
-    data error.
+    The config file's values become the subcommand's defaults, and the
+    command line is parsed again.  A config key that is not an option of the
+    subcommand is a usage error; a config value of another type than its
+    flag takes (null only where the default is null), outside the flag's
+    choices or refused by its type function, is a data error, as is any
+    option below its ``_MINIMUM``.
     """
-    opts = dict(_DEFAULTS[args.command])
-    config = getattr(args, "config", None)
-    if config:
-        with open(config) as fh:
+    args = parser.parse_args(argv)
+    if args.config:
+        with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            parser.error(f"config file {config} must hold a JSON object")
-        types = _flag_types(parser, args.command)
+            parser.error(f"config file {args.config} must hold a JSON object")
+        command = _command_parser(parser, args.command)
+        actions = {a.dest: a for a in command._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        config = {}
         for key, value in loaded.items():
             name = key.replace("-", "_")
-            if name not in opts:
-                parser.error(f"unknown key {key!r} in config file {config} "
+            if name in actions:
+                config[name] = _config_value(key, value, actions[name], args.config)
+            elif name == "moments" and hasattr(args, name):  # checked by SourceModel
+                config[name] = value
+            else:
+                parser.error(f"unknown key {key!r} in config file {args.config} "
                              f"for '{args.command}'")
-            expected, choices = types.get(name, (None, None))
-            if expected is None or (value is None and opts[name] is None):
-                pass
-            elif not _has_type(value, expected):
-                raise IcfSimError(f"{key} in config file {config} must be of type "
-                                  f"{expected.__name__}, got {value!r}")
-            elif choices is not None and value not in choices:
-                raise IcfSimError(f"{key} in config file {config} must be one of "
-                                  f"{', '.join(map(str, choices))}, got {value!r}")
-            opts[name] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
-        if value is not None:
-            opts[key] = value
-        elif key not in opts:
-            opts[key] = None
+        command.set_defaults(**config)
+        args = parser.parse_args(argv)
+    opts = vars(args)
+    del opts["config"]
     for key, low in _MINIMUM.items():
         if opts.get(key) is not None and opts[key] < low:
             raise IcfSimError(f"{key.replace('_', '-')} must be at least {low}, "
@@ -261,16 +247,11 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
 
 
 def _model(opts: dict) -> SourceModel:
-    kind = opts["kind"]
-    if kind == "custom":
-        moments = opts.get("moments")
-        if not moments:
-            raise IcfSimError(
-                "custom models need a 'moments' table in the --config file")
-        return SourceModel.from_dict({
-            "kind": "custom", "moments": moments,
-            "coherence_width": opts.get("coherence_width")})
-    return SourceModel(kind, coherence_width=opts.get("coherence_width"))
+    if opts["kind"] != "custom":
+        return SourceModel(opts["kind"], coherence_width=opts["coherence_width"])
+    if not opts["moments"]:
+        raise IcfSimError("custom models need a 'moments' table in the --config file")
+    return SourceModel.from_dict(opts)
 
 
 def _scan_pattern(opts: dict) -> ScanPattern:
@@ -426,22 +407,13 @@ def cmd_synth(opts: dict) -> int:
     return 0
 
 
-def _parse_roi(text: str, frame_shape: tuple, ref_col) -> RoiSpec:
-    height, width = frame_shape
-    if text is None:
-        x0, y0, w, h = 0, 0, width, height
-    else:
-        try:
-            x0, y0, w, h = (int(v) for v in text.split(","))
-        except ValueError:
-            raise IcfSimError(f"--roi expects x0,y0,w,h integers, got {text!r}") from None
-    return RoiSpec(x0=x0, y0=y0, width=w, height=h,
-                   reference_column=ref_col if ref_col is not None else w // 2)
-
-
 def cmd_process(opts: dict) -> int:
     reader = FrameReader(opts["stack"], fringe_period_px=opts["period_px"])
-    roi = _parse_roi(opts["roi"], reader.shape, opts["ref_col"])
+    height, width = reader.shape
+    x0, y0, w, h = opts["roi"] or (0, 0, width, height)
+    ref_col = opts["ref_col"]
+    roi = RoiSpec(x0=x0, y0=y0, width=w, height=h,
+                  reference_column=ref_col if ref_col is not None else w // 2)
     series = roi_average(reader, roi)
     if series.saturated_pixels:
         pixels = series.n_frames * roi.width * roi.height
@@ -504,10 +476,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        opts = _resolve(args, parser)
-        return _COMMANDS[args.command](opts)
+        opts = _resolve(parser, argv)
+        return _COMMANDS[opts["command"]](opts)
     except (IcfSimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

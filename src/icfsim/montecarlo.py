@@ -12,8 +12,8 @@ profiles use it too, with one frame per row.
 Every batch owns a seeded substream spawned from the run seed, and in a
 scan it serves every grid point: the draws are reduced once to monomial
 sums that each point contracts with its own coefficients.  So a point's
-value does not depend on the rest of the grid, and the errors of a scan's
-points are correlated.  A call's work is one list of tasks, runs of
+value and stderr do not depend on the rest of the grid, and the errors of a
+scan's points are correlated.  A call's work is one list of tasks, runs of
 consecutive batches sized from the batch size alone, on one thread pool
 (or inline) and merged in batch order: results do not depend on workers.
 """
@@ -124,8 +124,9 @@ def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
                linear: np.ndarray):
     """Per-batch product and detector sums at phases ``deltas`` (points,
     detectors) from ``_power_sums``: detector j sees base + kc_j c - ks_j s.
-    The contraction is elementwise, not a matrix product, so a point's sums
-    do not depend on the rest of the grid.
+    The contraction is elementwise and sequential, not a matrix product or
+    a numpy sum (whose order depends on the shape), so a point's sums do not
+    depend on the rest of the grid.
     """
     env = coherence_envelope(model, deltas)
     kc, ks = env * np.cos(deltas), env * np.sin(deltas)
@@ -138,7 +139,7 @@ def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
         coef[:, 1:, :] += kc[:, d, None, None] * prev[:, :-1, :]
         coef[:, :, 1:] -= ks[:, d, None, None] * prev[:, :, :-1]
     coef = coef[:, np.add.outer(range(order + 1), range(order + 1)) <= order]
-    prod = (powers[:, None, :] * coef).sum(axis=-1)
+    prod = np.cumsum(powers[:, None, :] * coef, axis=-1)[..., -1]
     base, c, s = (linear[:, None, None, i] for i in range(3))
     return prod, base + kc * c - ks * s
 
@@ -151,8 +152,8 @@ def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches:
     The value pools every row.  The stderr is the standard deviation of the
     ratios of ``n_batches`` equal groups of leading rows over
     sqrt(n_batches), or None with fewer than two groups or empty ones.  The
-    groups are totalled in order, so the value does not depend on how the
-    rows were computed.
+    groups are totalled, and their spread summed, in batch order, so neither
+    depends on how the rows were computed or on the trailing axes' sizes.
     """
     def ratio(p, f, n):
         return (p / n) / np.prod(f / n, axis=-1)
@@ -164,8 +165,10 @@ def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches:
     groups = [a[:cut].reshape(n_batches, size, *a.shape[1:]).sum(axis=1) for a in (prod, factors)]
     totals = [np.cumsum(g, axis=0)[-1] + a[cut:].sum(axis=0)
               for g, a in zip(groups, (prod, factors))]
+    dev = ratio(*groups, count * size)
+    dev -= np.cumsum(dev, axis=0)[-1] / n_batches
     return (ratio(*totals, count * len(prod)),
-            ratio(*groups, count * size).std(axis=0, ddof=1) / np.sqrt(n_batches))
+            np.sqrt(np.cumsum(dev * dev, axis=0)[-1] / (n_batches - 1)) / np.sqrt(n_batches))
 
 
 def _check_batching(n_samples: int, n_batches: int) -> int:

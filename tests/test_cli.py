@@ -166,7 +166,7 @@ class TestMcVerdict:
         # coherent order 3 reaches 9/11 exactly, so z sits near 0 apart from
         # the max/min selection bias of a noisy scan; `mc` defaults but 1e4
         # samples per point
-        scan_pattern = cli._scan_pattern(dict(cli._DEFAULTS["mc"]))
+        scan_pattern = cli._scan_pattern(vars(cli.build_parser().parse_args(["mc"])))
         zs = []
         for seed in range(40):
             p = estimate_scan(SourceModel.coherent(), scan_pattern, 10_000, 100, seed=seed,
@@ -347,6 +347,10 @@ class TestConfig:
     @pytest.mark.parametrize("content, message", [
         ({"kind": "thermal", "grid-pionts": 181}, "'grid-pionts'"),
         (["kind", "thermal"], "must hold a JSON object"),
+        ({"command": "limits"}, "'command'"),
+        ({"config": "other.json"}, "'config'"),
+        ({"help": True}, "'help'"),
+        ({"stack": "stack"}, "'stack'"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, content, message):
         config = tmp_path / "run.json"
@@ -356,6 +360,29 @@ class TestConfig:
         assert err.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("argv, content", [
+        (["process", "stack"], {"stack": "elsewhere"}),
+        (["synth", "--frames", "2"], {"moments": {"2": 2.0}}),
+    ], ids=["process-stack", "synth-moments"])
+    def test_only_options_of_the_subcommand_are_keys(self, tmp_path, capsys, argv, content):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", str(config)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown key {next(iter(content))!r}" in captured.err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_parsed_defaults_round_trip_through_a_config_file(self, tmp_path, command):
+        argv = [command, "stack"] if command == "process" else [command]
+        defaults = vars(cli.build_parser().parse_args(argv))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value for key, value in defaults.items()
+                                      if key not in ("command", "config", "stack")}))
+        assert (cli._resolve(cli.build_parser(), [*argv, "--config", str(config)])
+                == cli._resolve(cli.build_parser(), argv))
 
 
 class TestOutOfRangeIntegers:
@@ -378,6 +405,13 @@ class TestOutOfRangeIntegers:
         assert text == ""
         assert err.startswith("error:") and argv[-2].lstrip("-") in err
         assert not any(tmp_path.iterdir())
+
+    def test_every_minimum_names_an_integer_option(self):
+        parser = cli.build_parser()
+        options = {action.dest for command in cli._COMMANDS
+                   for action in cli._command_parser(parser, command)._actions
+                   if action.option_strings and action.type is int}
+        assert set(cli._MINIMUM) <= options
 
     def test_config_file_seed_is_checked(self, tmp_path, capsys):
         config = tmp_path / "run.json"

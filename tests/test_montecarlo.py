@@ -138,15 +138,20 @@ class TestDeterminism:
         assert created == [2]
 
     def test_point_estimate_independent_of_grid(self):
-        # substreams are keyed by grid index from the run seed, so a point
-        # estimate depends only on its index
-        g1 = np.linspace(0, 2 * np.pi, 5)
-        g2 = g1[:3]
-        p1 = estimate_scan(COHERENT, ScanPattern(order=3, scheme="symmetric_opposite", grid=g1),
-                           10_000, n_batches=10, seed=21)
-        p2 = estimate_scan(COHERENT, ScanPattern(order=3, scheme="symmetric_opposite", grid=g2),
-                           10_000, n_batches=10, seed=21)
-        assert np.array_equal(p1.values[:3], p2.values)
+        # every point contracts the same per-batch draws, and every sum over
+        # them runs in a fixed order, so a point's value and stderr do not
+        # depend on the rest of the grid, not even on its length
+        def estimate(model, grid):
+            p = estimate_scan(model, ScanPattern(order=3, scheme="symmetric_opposite",
+                                                 grid=grid), 10_000, n_batches=10, seed=21)
+            return p.values.tolist(), p.stderrs.tolist()
+
+        g = np.linspace(0, 2 * np.pi, 5)
+        for model in (COHERENT, THERMAL):
+            values, stderrs = estimate(model, g)
+            assert estimate(model, g[:3]) == (values[:3], stderrs[:3])
+            for i in range(len(g)):
+                assert estimate(model, g[i:i + 1]) == ([values[i]], [stderrs[i]])
 
     def test_batch_mean_set_invariant_under_merge_order(self):
         from icfsim.montecarlo import _task_sums, ratio_of_means
@@ -283,7 +288,7 @@ class TestSharedSamples:
         # visibility while each point drew its own samples (the max/min
         # selection bias), and 0.02-0.09 with shared draws.
         model = SourceModel(kind)
-        pattern = cli._scan_pattern(dict(cli._DEFAULTS["mc"], order=order))
+        pattern = cli._scan_pattern(dict(vars(cli.build_parser().parse_args(["mc"])), order=order))
         runs = [estimate_scan(model, pattern, samples, 100, seed=seed, workers=2)
                 for seed in range(40)]
         bias = abs(np.mean([r.visibility for r in runs]) - scan(model, pattern).visibility)
