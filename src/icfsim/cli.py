@@ -248,6 +248,8 @@ def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
 
 def _model(opts: dict) -> SourceModel:
     if opts["kind"] != "custom":
+        if opts["moments"] is not None:
+            raise IcfSimError(f"a 'moments' table is for custom models, not {opts['kind']}")
         return SourceModel(opts["kind"], coherence_width=opts["coherence_width"])
     if not opts["moments"]:
         raise IcfSimError("custom models need a 'moments' table in the --config file")
@@ -373,6 +375,9 @@ def cmd_verify(opts: dict) -> int:
 
 
 def cmd_synth(opts: dict) -> int:
+    if opts["format"] == "pgm" and not 1 <= opts["bit_depth"] <= 16:
+        raise IcfSimError(f"PGM frames need a bit depth of 1-16, got {opts['bit_depth']}; "
+                          f"use --format csv")
     model = SourceModel(opts["kind"])
     bit_depth = opts["bit_depth"] or None
     optics = FrameOptics(

@@ -16,12 +16,13 @@ value and stderr do not depend on the rest of the grid, and the errors of a
 scan's points are correlated.  A call's work is one list of tasks, runs of
 consecutive batches sized from the batch size alone, on one thread pool
 (or inline) and merged in batch order: results do not depend on workers.
+Each thread reuses its work buffers from task to task within a call, so
+batches do not fault in fresh memory; the buffers go when the call returns.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,12 +40,14 @@ from .sources import (  # noqa: F401
     coherence_envelope,
     detector_intensities,
     detector_rows,
+    field_terms,
     sample_batch,
 )
 
 # Samples per pool task: large enough that numpy's per-call overhead is
 # spread over many samples, small enough that a task's arrays stay around
-# a megabyte, so peak memory does not grow with the batch count.
+# a megabyte.  Each thread reuses its task buffers within a call, so peak
+# memory does not grow with the batch count.
 _TASK_SAMPLES = 16_384
 
 
@@ -58,30 +61,40 @@ class IcfEstimate:
     n_batches: int
 
 
-def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], size: int,
-          lock):
-    """Samples for consecutive batches, one row per batch: (ia, ib, theta)."""
-    ia = np.empty((len(seeds), size))
-    ib = np.empty_like(ia)
-    theta = np.empty_like(ia)
+def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
+    """``count`` arrays of ``shape``, kept in ``work`` (a ``threading.local``,
+    or None) for the calling thread's next task and made anew for another
+    shape.  Separate arrays, not one block, so that a scan's small arrays
+    come from memory the allocator already holds.
+    """
+    work = threading.local() if work is None else work
+    if getattr(work, "key", None) != (count, shape):
+        work.arrays = None  # the old arrays are freed before new ones are made
+        work.key, work.arrays = (count, shape), [np.empty(shape) for _ in range(count)]
+    return work.arrays
+
+
+def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], lock, ia, ib, theta):
+    """Sample consecutive batches into (ia, ib, theta), one row per batch."""
     with lock:
         for k, seed in enumerate(seeds):
-            ia[k], ib[k], theta[k] = sample_batch(model, np.random.default_rng(seed), size)
-    return ia, ib, theta
+            sample_batch(model, np.random.default_rng(seed), ia.shape[1],
+                         out=(ia[k], ib[k], theta[k]))
 
 
 def _task_sums(model: SourceModel, delta: np.ndarray,
                seeds: list[np.random.SeedSequence], size: int,
-               lock=contextlib.nullcontext()):
+               lock=contextlib.nullcontext(), work=None):
     """Per-batch sums of the detector-intensity products, shape (batches,),
     and of each detector's intensity, shape (batches, detectors), where batch
     k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
     batch's own row, so it does not depend on the run of batches.
     """
-    prod = np.ones((len(seeds), size))
+    ia, ib, theta, amp, row, prod = _workspace(work, 6, (len(seeds), size))
+    _draw(model, seeds, lock, ia, ib, theta)
+    prod.fill(1.0)
     sums = np.empty((len(seeds), len(delta)))
-    # the samples are passed on unnamed, so detector_rows can free them
-    for j, row in enumerate(detector_rows(model, delta, *_draw(model, seeds, size, lock))):
+    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row)):
         sums[:, j] = row.sum(axis=-1)
         prod *= row
     return prod.sum(axis=-1), sums
@@ -96,18 +109,18 @@ def _times(a, b, out):
 
 def _power_sums(model: SourceModel, order: int,
                 seeds: list[np.random.SeedSequence], size: int,
-                lock=contextlib.nullcontext()):
+                lock=contextlib.nullcontext(), work=None):
     """Per-batch sums, drawn as in ``_task_sums``, of the monomials
     base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
-    ``detector_rows``, shape (batches, monomials), and of base, c and s.
+    ``field_terms``, shape (batches, monomials), and of base, c and s.
     """
-    ia, ib, theta = _draw(model, seeds, size, lock)
-    amp = 2.0 * np.sqrt(ia * ib)  # the draws are private: the terms reuse them
-    base = np.add(ia, ib, out=ia)
-    c = np.multiply(np.cos(theta, out=ib), amp, out=ib)
-    s = np.multiply(np.sin(theta, out=theta), amp, out=theta)
-    base_pow = [None, *itertools.accumulate([base] * order, np.multiply)]  # None: base^0
-    c_pow, cs_pow, term = np.empty_like(base), np.empty_like(base), amp
+    ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
+                                                             (len(seeds), size))
+    _draw(model, seeds, lock, ia, ib, theta)
+    base, c, s = field_terms(ia, ib, theta, term)
+    base_pow = [None, base]  # None: base^0
+    for p in higher:
+        base_pow.append(np.multiply(base_pow[-1], base, out=p))
     sums, cj = [], None  # cj holds c^j, and t below c^j s^k
     for j in range(order + 1):
         t = cj
@@ -186,7 +199,7 @@ def _check_batching(n_samples: int, n_batches: int) -> int:
 
 def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
                 workers: int) -> list[np.ndarray]:
-    """Run ``task_sums(seeds, size, lock)`` over the batch seeds spawned from
+    """Run ``task_sums(seeds, size, lock, work)`` over the batch seeds spawned from
     ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
     batches, and join the per-batch rows it returns in batch order.
     """
@@ -200,7 +213,8 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     # Sampling holds the interpreter lock for most of its time and releases
     # it for many short draws, so two threads sampling at once mostly wait
     # for each other; one samples while the others reduce their samples.
-    run = partial(task_sums, size=batch_size, lock=threading.Lock())
+    # Each thread's work arrays live in ``work`` for this call only.
+    run = partial(task_sums, size=batch_size, lock=threading.Lock(), work=threading.local())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))

@@ -165,59 +165,62 @@ def coherence_envelope(model: SourceModel, delta) -> np.ndarray:
     return np.exp(-(delta ** 2) / (2.0 * w * w))
 
 
-def sample_batch(model: SourceModel, rng: np.random.Generator, size: int):
+def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=None):
     """Vectorized sampling; returns (intensity_a, intensity_b, theta) arrays.
 
     Coherent intensities are exactly the mean; thermal intensities are
     i.i.d. exponential.  theta is uniform on [0, 2*pi).  The draw order
     (a-intensities, b-intensities, theta) is fixed so that a given seeded
-    stream always yields bit-identical sequences.
+    stream always yields bit-identical sequences.  With ``out``, three
+    contiguous float arrays of length ``size``, the draws are written there
+    and are the same bits as without it.
     """
     if model.kind == "custom":
         raise CustomModelNotSamplable(
             "custom models carry moments only and cannot be sampled")
-    if model.kind == "coherent":
-        ia = np.full(size, model.mean_intensity)
-        ib = np.full(size, model.mean_intensity)
-    else:
-        ia = rng.exponential(model.mean_intensity, size)
-        ib = rng.exponential(model.mean_intensity, size)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    ia, ib, theta = (np.empty(size) for _ in range(3)) if out is None else out
+    for i in (ia, ib):
+        if model.kind == "coherent":
+            i.fill(model.mean_intensity)
+        else:  # numpy's exponential(scale) is scale * standard_exponential()
+            rng.standard_exponential(out=i)
+            i *= model.mean_intensity
+    rng.random(out=theta)  # uniform(0, 2 pi) is 0 + 2 pi * random()
+    theta *= 2.0 * np.pi
     return ia, ib, theta
 
 
-def detector_rows(model: SourceModel, delta, ia, ib, theta):
+def field_terms(ia, ib, theta, amp):
+    """base = Ia + Ib, c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib)
+    sin(theta), written over ``ia``, ``ib`` and ``theta`` and returned in
+    that order; ``amp`` is left holding 2 sqrt(Ia Ib).
+    """
+    np.sqrt(np.multiply(ia, ib, out=amp), out=amp)
+    amp *= 2.0
+    return (np.add(ia, ib, out=ia), np.multiply(np.cos(theta, out=ib), amp, out=ib),
+            np.multiply(np.sin(theta, out=theta), amp, out=theta))
+
+
+def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row):
     """Yield the instantaneous intensity at each detector in turn.
 
     I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j), where E_j is the
     coherence-envelope factor.  It is evaluated as
-    (Ia + Ib) + E_j cos(delta_j) c - E_j sin(delta_j) s with
-    c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib) sin(theta), so each
-    sample costs two trig calls whatever the number of detectors.  ``ia``,
-    ``ib`` and ``theta`` are arrays of one shape, which every row has.  All
-    rows are written into one buffer: use a row before asking for the next.
+    (Ia + Ib) + E_j cos(delta_j) c - E_j sin(delta_j) s with the
+    ``field_terms`` c and s, so each sample costs two trig calls whatever
+    the number of detectors.  The draws ``ia``, ``ib`` and ``theta`` and
+    the scratch arrays ``amp`` and ``row`` all have one shape; the draws
+    and ``amp`` are overwritten, and every row is written into ``row``:
+    use a row before asking for the next.
     """
     delta = np.asarray(delta, dtype=float)
     env = coherence_envelope(model, delta)
-    # Inputs are released as soon as they are used, so a caller that passes
-    # temporaries gets their memory back before the rows are formed.
-    base = ia + ib
-    amp = ia * ib
-    del ia, ib
-    np.sqrt(amp, out=amp)
-    amp *= 2.0
-    c = np.cos(theta)
-    c *= amp
-    s = np.sin(theta)
-    s *= amp
-    del theta, amp
-    row = np.empty_like(base)
-    term = np.empty_like(base)
+    base, c, s = field_terms(ia, ib, theta, amp)
     for kc, ks in zip(env * np.cos(delta), env * np.sin(delta)):
         np.multiply(c, kc, out=row)
         row += base
-        np.multiply(s, ks, out=term)
-        row -= term
+        np.multiply(s, ks, out=amp)
+        row -= amp
         yield row
 
 
@@ -227,7 +230,9 @@ def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray
     The rows of ``detector_rows`` stacked: shape (n_detectors, n_samples).
     """
     delta = np.asarray(delta, dtype=float)
-    out = np.empty((len(delta),) + np.shape(theta))
-    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta)):
+    # copies of the draws, and scratch for amp and row: the inputs stay unchanged
+    work = np.array([ia, ib, theta, theta, theta], dtype=float)
+    out = np.empty((len(delta),) + work.shape[1:])
+    for j, row in enumerate(detector_rows(model, delta, *work)):
         out[j] = row
     return out

@@ -227,6 +227,23 @@ class TestFramesCli:
         assert code == 0
         assert (stack_dir / "frame_0000.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--bit-depth", "0"],
+                                       ["--bit-depth", "20", "--peak-level", "200000"]])
+    def test_pgm_bit_depth_outside_1_to_16_exit_1(self, tmp_path, capsys, flags):
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
+                              *flags, "--out", str(stack_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "bit depth of 1-16" in err
+        assert text == "" and not stack_dir.exists()
+
+    def test_float_csv_frames_at_bit_depth_0(self, tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        code, _, _ = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
+                         "--bit-depth", "0", "--format", "csv", "--out", str(stack_dir))
+        assert code == 0
+        assert (stack_dir / "frame_0001.csv").exists()
+
     @pytest.mark.parametrize("batches, needed", [("30", "60 frames for 30 batches"),
                                                  ("-3", "4 frames for 2 batches")])
     def test_process_warns_when_stderrs_are_dropped(self, tmp_path, capsys, batches, needed):
@@ -343,6 +360,20 @@ class TestConfig:
                             "--order", "3", "--out", str(tmp_path / "c.csv"))
         assert code == 0
         assert "visibility = 0.6000000" in text
+
+    @pytest.mark.parametrize("command", ["analytic", "mc"])
+    @pytest.mark.parametrize("argv, content", [
+        ([], {"moments": {"2": 5.0, "3": 40.0, "4": 400.0}}),
+        (["--kind", "thermal"], {"kind": "custom", "moments": {"2": 2.0, "3": 6.0}}),
+    ], ids=["coherent-default", "thermal-flag-over-custom"])
+    def test_moments_of_a_named_kind_exit_1(self, tmp_path, capsys, command, argv, content):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(content))
+        code, text, err = run(capsys, command, "--config", str(config), *argv,
+                              "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and "'moments'" in err
+        assert text == "" and not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("content, message", [
         ({"kind": "thermal", "grid-pionts": 181}, "'grid-pionts'"),

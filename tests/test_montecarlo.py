@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,9 +272,9 @@ class TestSharedSamples:
         import icfsim.montecarlo as mc
         sizes = []
 
-        def spy(model, rng, size):
+        def spy(model, rng, size, **kwargs):
             sizes.append(size)
-            return sample_batch(model, rng, size)
+            return sample_batch(model, rng, size, **kwargs)
 
         monkeypatch.setattr(mc, "sample_batch", spy)
         estimate_scan(THERMAL, ScanPattern(order=3, scheme="symmetric_opposite", grid=GRID7),
@@ -357,6 +358,66 @@ PINNED_SCANS = {
         ["0x1.1caaeb9434379p-5", "0x1.248bb6b931bf0p-7", "0x1.35313dd6de079p-5",
          "0x1.1caaeb9434374p-5"]),
 }
+
+
+# estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
+# kernels wrote into reused buffers; 400 000 samples in 10 batches make one
+# task per batch, 20 000 in 20 batches several batches per task.
+PINNED_POINTS = {
+    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a29ap-4"),
+    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15cp-1"),
+    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f21p-8"),
+    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512cp+1", "0x1.e7a81de7dc218p-7"),
+    ("thermal-1", 400_000, 10): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("thermal-1", 20_000, 20): ("0x1.0000000000000p+0", "0x0.0p+0"),
+}
+POINT_CASES = {
+    "thermal-4-width": (THERMAL_W, [0.9, 0.0, -0.9, 1.7]),
+    "coherent-3": (COHERENT, [0.4, 0.0, -0.4]),
+    "thermal-1": (THERMAL, [0.7]),
+}
+
+
+def pinned_point(case, n_samples, n_batches, workers):
+    model, delta = POINT_CASES[case]
+    est = estimate_icf(model, delta, n_samples, n_batches=n_batches, seed=1618,
+                       workers=workers)
+    return est.value.hex(), est.stderr.hex()
+
+
+class TestWorkBuffers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(PINNED_POINTS), ids=lambda c: "-".join(map(str, c)))
+    def test_point_matches_pinned_bits(self, case, workers):
+        assert pinned_point(*case, workers) == PINNED_POINTS[case]
+
+    def test_small_then_large_batches_in_one_process(self):
+        # the benchmark's prime (1000 samples in 10 batches), then batches of
+        # its 40 000-sample jobs, then the prime again: no buffer may outlive
+        # a call or pass between threads
+        for _ in range(2):
+            for model, n in ((THERMAL, 4), (COHERENT, 3)):
+                for workers in (1, 2):
+                    estimate_icf(model, np.zeros(n), 1000, n_batches=10, seed=1,
+                                 workers=workers)
+            for case in ("thermal-4-width", "coherent-3"):
+                for workers in (1, 2):
+                    assert (pinned_point(case, 400_000, 10, workers)
+                            == PINNED_POINTS[(case, 400_000, 10)])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page-fault counts are read on Linux")
+    def test_single_thread_batches_do_not_page_fault(self):
+        resource = pytest.importorskip("resource")
+
+        # a small warm call, as the benchmark primes: the allocator then
+        # hands back and faults in again any array allocated per batch
+        estimate_icf(THERMAL, np.zeros(4), 1000, n_batches=10, seed=5)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_icf(THERMAL, np.zeros(4), 2_000_000, n_batches=50, seed=5)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # a batch's array of 40 000 doubles spans 78 pages
+        assert faults < 64 * 50
 
 
 class TestRatioOfMeans:

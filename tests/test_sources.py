@@ -155,6 +155,18 @@ class TestSampling:
             assert np.array_equal(x, y)
 
 
+    @pytest.mark.parametrize("size", [1, 999, 40_000])
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_draws_into_out_are_the_allocating_draws(self, kind, size):
+        model = SourceModel(kind, mean_intensity=2.5)
+        fresh = sample_batch(model, np.random.default_rng(5), size)
+        out = tuple(np.full(size, np.nan) for _ in range(3))
+        got = sample_batch(model, np.random.default_rng(5), size, out=out)
+        assert all(g is o for g, o in zip(got, out))
+        for x, y in zip(fresh, got):
+            assert x.tobytes() == y.tobytes()
+
+
 class TestEnvelope:
     def test_absent_width_gives_unity(self):
         env = coherence_envelope(SourceModel.thermal(), [0.0, 1.0, -3.0])
