@@ -45,7 +45,14 @@ import numpy as np
 from .errors import AllZeroPattern, EmptyPattern, UnsupportedOrder
 from .sources import SourceModel, coherence_envelope, moment
 
-SCHEMES = ("symmetric_opposite", "single_detector", "four_point_double_speed", "custom")
+# Each named scheme's detector phases per order it serves, as multiples of
+# the scan coordinate x; single_detector's third detector also sits at -offset.
+_SCHEME_STEPS = {
+    "symmetric_opposite": {2: (1.0, 0.0), 3: (1.0, 0.0, -1.0)},
+    "single_detector": {3: (1.0, 0.0, 0.0)},
+    "four_point_double_speed": {4: (1.0, 0.0, -1.0, -2.0)},
+}
+SCHEMES = (*_SCHEME_STEPS, "custom")
 
 CLASSICAL_LIMITS = {
     ("coherent", 2): 1.0 / 2.0,
@@ -94,7 +101,7 @@ class ScanPattern:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.order not in (2, 3, 4):
+        if self.order not in _SCHEME_STEPS.get(self.scheme, (2, 3, 4)):
             raise UnsupportedOrder(self.order)
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0:
@@ -109,14 +116,6 @@ class ScanPattern:
                     f"deltas shape {deltas.shape} does not match "
                     f"(grid, order) = ({grid.size}, {self.order})")
             object.__setattr__(self, "deltas", deltas)
-        elif self.scheme == "single_detector":
-            if self.order != 3:
-                raise UnsupportedOrder(self.order)
-        elif self.scheme == "four_point_double_speed":
-            if self.order != 4:
-                raise UnsupportedOrder(self.order)
-        elif self.order == 4:
-            raise UnsupportedOrder(self.order)
 
     def delta_array(self) -> np.ndarray:
         """Detector phases per grid point, shape (len(grid), order)."""
@@ -127,17 +126,15 @@ class ScanPattern:
 
 def scheme_deltas(order: int, scheme: str, x, offset: float | None = None):
     """Phase tuple for a named scheme; x may be a scalar or an array."""
-    zero = x * 0.0
-    if scheme == "symmetric_opposite":
-        if order == 2:
-            return (x, zero)
-        return (x, zero, -x)
+    if scheme not in _SCHEME_STEPS:
+        raise ValueError(f"scheme {scheme!r} has no coordinate mapping")
+    if order not in _SCHEME_STEPS[scheme]:
+        raise UnsupportedOrder(order)
+    deltas = tuple(x * k for k in _SCHEME_STEPS[scheme][order])
     if scheme == "single_detector":
         c = math.pi / 2.0 if offset is None else offset
-        return (x, zero, zero - c)
-    if scheme == "four_point_double_speed":
-        return (x, zero, -x, -2.0 * x)
-    raise ValueError(f"scheme {scheme!r} has no coordinate mapping")
+        deltas = (*deltas[:2], deltas[2] - c)
+    return deltas
 
 
 def visibility(pattern_or_values) -> float:
@@ -334,24 +331,22 @@ def _refine_stationary(f: Callable, x0: float, step: float) -> float:
 
 
 def extremal_phases(model: SourceModel, order: int, scheme: str,
-                    offset: float | None = None,
-                    span: tuple[float, float] = (0.0, 2.0 * math.pi)):
+                    offset: float | None = None):
     """Locate the scan-curve extrema and the resulting visibility.
 
-    Dense grid search (step <= 1e-3 rad) over ``span`` followed by local
+    Dense grid search (step <= 1e-3 rad) over [0, 2 pi] followed by local
     Newton refinement of both extrema to |g'| < 1e-10.  Returns
     (x_max, x_min, visibility).
     """
     if order not in (3, 4):
         raise UnsupportedOrder(order)
-    ScanPattern(order=order, scheme=scheme, grid=np.array([span[0]]))  # checks the scheme
 
     def f(x):
         """The scan curve at x; vectorized and complex-safe."""
         return _at(model, _stack(scheme_deltas(order, scheme, x, offset)))
 
-    npts = int(math.ceil((span[1] - span[0]) / _GRID_STEP)) + 1
-    xs = np.linspace(span[0], span[1], npts)
+    npts = int(math.ceil(2.0 * math.pi / _GRID_STEP)) + 1
+    xs = np.linspace(0.0, 2.0 * math.pi, npts)
     ys = np.asarray(f(xs), dtype=float)
     x_max = _refine_stationary(f, float(xs[np.argmax(ys)]), _GRID_STEP)
     x_min = _refine_stationary(f, float(xs[np.argmin(ys)]), _GRID_STEP)

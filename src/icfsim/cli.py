@@ -278,12 +278,13 @@ def _write_pattern(pattern: InterferencePattern, out: str, fmt: str) -> Path:
 
 def _limit_lines(vis: float, order: int, kind: str, err: float | None = None) -> list[str]:
     """Visibility, classical limit and verdict; given the visibility's stderr
-    ``err``, INFO means z = (vis - limit) / err above 3."""
+    ``err``, the visibility carries it and INFO means z = (vis - limit) / err > 3."""
+    lines = [f"visibility = {vis:.9f}" if err is None
+             else f"visibility = {vis:.6f} +/- {err:.6f}"]
     if kind not in ("coherent", "thermal"):
-        return [f"visibility = {vis:.9f}"]
+        return lines
     limit = classical_limit(order, kind)
-    lines = [f"visibility = {vis:.9f}",
-             f"classical limit ({kind}, order {order}) = {limit:.9f}"]
+    lines.append(f"classical limit ({kind}, order {order}) = {limit:.9f}")
     if err is None:
         exceeds, note = vis > limit + 1e-9, ""
     else:
@@ -294,50 +295,44 @@ def _limit_lines(vis: float, order: int, kind: str, err: float | None = None) ->
     return lines
 
 
-def _classical_floor(pattern: InterferencePattern, order: int, kind: str):
-    if kind not in ("coherent", "thermal"):
-        return None, ""
-    v = classical_limit(order, kind)
-    floor = float(np.max(pattern.values)) * (1.0 - v) / (1.0 + v)
-    return floor, f"classical-limit floor (V = {v:.4f})"
+def _report_scan(opts: dict, pattern: InterferencePattern, err: float | None = None,
+                 overlay: InterferencePattern | None = None) -> None:
+    """Print a scan's visibility lines, write the scan and, given --plot, plot it.
 
-
-def cmd_analytic(opts: dict) -> int:
-    model = _model(opts)
-    pattern = scan(model, _scan_pattern(opts))
-    for line in _limit_lines(pattern.visibility, opts["order"], opts["kind"]):
+    ``err``, the visibility's stderr, marks a Monte Carlo scan; a coherent
+    or thermal plot also draws the minimum that the classical-limit
+    visibility allows under the scan's maximum.
+    """
+    order, kind = opts["order"], opts["kind"]
+    for line in _limit_lines(pattern.visibility, order, kind, err):
         print(line)
     path = _write_pattern(pattern, opts["out"], opts["format"])
     print(f"wrote {path}")
     if opts.get("plot"):
-        floor, label = _classical_floor(pattern, opts["order"], opts["kind"])
-        write_pattern_svg(opts["plot"], pattern,
-                          title=f"{opts['kind']} order-{opts['order']} scan "
-                                f"(V = {pattern.visibility:.4f})",
-                          hline=floor, hline_label=label)
+        floor, label = None, ""
+        if kind in ("coherent", "thermal"):
+            v = classical_limit(order, kind)
+            floor = float(np.max(pattern.values)) * (1.0 - v) / (1.0 + v)
+            label = f"classical-limit floor (V = {v:.4f})"
+        title = (f"scan (V = {pattern.visibility:.4f})" if err is None else
+                 f"Monte Carlo (V = {pattern.visibility:.4f} +/- {err:.4f})")
+        write_pattern_svg(opts["plot"], pattern, title=f"{kind} order-{order} {title}",
+                          overlay=overlay, hline=floor, hline_label=label)
         print(f"wrote {opts['plot']}")
+
+
+def cmd_analytic(opts: dict) -> int:
+    _report_scan(opts, scan(_model(opts), _scan_pattern(opts)))
     return 0
 
 
 def cmd_mc(opts: dict) -> int:
-    model = _model(opts)
-    pattern = estimate_scan(model, _scan_pattern(opts), n_samples=opts["samples"],
+    model, spec = _model(opts), _scan_pattern(opts)
+    pattern = estimate_scan(model, spec, n_samples=opts["samples"],
                             n_batches=opts["batches"], seed=opts["seed"],
                             workers=_workers())
-    err = pattern.visibility_stderr()
-    print(f"visibility = {pattern.visibility:.6f} +/- {err:.6f}")
-    for line in _limit_lines(pattern.visibility, opts["order"], opts["kind"], err)[1:]:
-        print(line)
-    path = _write_pattern(pattern, opts["out"], opts["format"])
-    print(f"wrote {path}")
-    if opts.get("plot"):
-        analytic_pattern = scan(model, _scan_pattern(opts))
-        floor, label = _classical_floor(pattern, opts["order"], opts["kind"])
-        write_pattern_svg(opts["plot"], pattern,
-                          title=f"{opts['kind']} order-{opts['order']} Monte Carlo "
-                                f"(V = {pattern.visibility:.4f} +/- {err:.4f})",
-                          overlay=analytic_pattern, hline=floor, hline_label=label)
-        print(f"wrote {opts['plot']}")
+    overlay = scan(model, spec) if opts.get("plot") else None
+    _report_scan(opts, pattern, pattern.visibility_stderr(), overlay)
     return 0
 
 
@@ -378,6 +373,14 @@ def cmd_synth(opts: dict) -> int:
     if opts["format"] == "pgm" and not 1 <= opts["bit_depth"] <= 16:
         raise IcfSimError(f"PGM frames need a bit depth of 1-16, got {opts['bit_depth']}; "
                           f"use --format csv")
+    # the drive options default to None, so a value given without harmonic
+    # modulation can be told apart from no value
+    drive = {key: opts[f"mod_{key}"] for key in ("amplitude", "frequency")
+             if opts[f"mod_{key}"] is not None}
+    harmonic = opts["phase_modulation"] == "harmonic"
+    if drive and not harmonic:
+        raise IcfSimError(f"{' and '.join('--mod-' + key for key in drive)} "
+                          f"need --phase-modulation harmonic")
     model = SourceModel(opts["kind"])
     bit_depth = opts["bit_depth"] or None
     optics = FrameOptics(
@@ -390,14 +393,7 @@ def cmd_synth(opts: dict) -> int:
         frame_width=opts["frame_width"],
         frame_height=opts["frame_height"],
     )
-    modulation = None
-    if opts["phase_modulation"] == "harmonic":
-        kwargs = {}
-        if opts["mod_amplitude"] is not None:
-            kwargs["amplitude"] = opts["mod_amplitude"]
-        if opts["mod_frequency"] is not None:
-            kwargs["frequency"] = opts["mod_frequency"]
-        modulation = HarmonicModulation(**kwargs)
+    modulation = HarmonicModulation(**drive) if harmonic else None
     stack = synth_frames(model, optics, n=opts["frames"], seed=opts["seed"],
                          modulation=modulation, workers=_workers())
     manifest = save_frames(stack, opts["out"], fmt=opts["format"])

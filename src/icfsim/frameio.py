@@ -50,10 +50,10 @@ def read_pgm(path) -> np.ndarray:
     def token() -> bytes:
         nonlocal pos
         while pos < len(data):
-            c = data[pos:pos + 1]
-            if c in (b" ", b"\t", b"\r", b"\n"):
+            c = data[pos]
+            if c in _WHITESPACE:
                 pos += 1
-            elif c == b"#":
+            elif c == ord("#"):
                 nl = data.find(b"\n", pos)
                 if nl < 0:
                     raise MalformedFile(path, "unterminated comment in header", offset=pos)
@@ -61,7 +61,7 @@ def read_pgm(path) -> np.ndarray:
             else:
                 break
         start = pos
-        while pos < len(data) and data[pos:pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
+        while pos < len(data) and data[pos] not in _WHITESPACE:
             pos += 1
         if start == pos:
             raise MalformedFile(path, "unexpected end of header", offset=pos)
@@ -174,19 +174,14 @@ class FrameReader:
     stack is cast to its integer dtype.
     """
 
-    def __init__(self, path, fmt: str | None = None,
-                 fringe_period_px: float | None = None):
+    def __init__(self, path, fringe_period_px: float | None = None):
         path = Path(path)
         manifest_path = path / MANIFEST_NAME if path.is_dir() else path
         try:
             manifest = json.loads(manifest_path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedFile(manifest_path, f"invalid manifest JSON: {exc}") from None
-        file_fmt = manifest.get("format")
-        if fmt is not None and file_fmt is not None and fmt != file_fmt:
-            raise MalformedFile(manifest_path,
-                                f"manifest format {file_fmt!r} does not match requested {fmt!r}")
-        self._format = fmt or file_fmt
+        self._format = manifest.get("format")
         if self._format not in ("pgm", "csv"):
             raise MalformedFile(manifest_path, f"unknown frame format {self._format!r}")
         names = manifest.get("frames") or []
@@ -232,10 +227,9 @@ class FrameReader:
             yield frame
 
 
-def load_frames(path, fmt: str | None = None,
-                fringe_period_px: float | None = None) -> FrameStack:
+def load_frames(path, fringe_period_px: float | None = None) -> FrameStack:
     """Load a whole stack into memory; arguments as for ``FrameReader``."""
-    reader = FrameReader(path, fmt, fringe_period_px)
+    reader = FrameReader(path, fringe_period_px)
     frames = np.empty((reader.n_frames, *reader.shape), dtype=reader.dtype)
     for j, frame in enumerate(reader):
         frames[j] = frame

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import InterferencePattern
+from .analytic import InterferencePattern, scheme_deltas
 from .constants import DEFAULT_SEED
 from .errors import (
     AllZeroPattern,
@@ -360,14 +360,23 @@ def mean_profile(series: ProcessedSeries) -> np.ndarray:
     return series.profiles.mean(axis=0)
 
 
-def _correlation_profile(series: ProcessedSeries, column_sets: np.ndarray,
-                         xs_px: np.ndarray, n_batches: int) -> InterferencePattern:
-    """Frame-averaged product profile over the given column tuples.
+def _scheme_profile(series: ProcessedSeries, order: int, scheme: str,
+                    n_batches: int) -> InterferencePattern:
+    """Frame-averaged product profile along a named scan scheme.
 
-    ``column_sets`` has shape (n_points, n_args); the value at point p is
-    mean_j prod_a profiles[j, columns[p, a]] normalized by the product of
-    the mean-profile values at the same columns.
+    The scheme's phases at x = 1 give column steps k; offsets x run over
+    whole pixels, and the value at x is mean_j prod_k profiles[j, r + k x]
+    normalized by the product of the mean-profile values at the same columns.
     """
+    r, w = series.reference_column, series.width
+    steps = np.array(scheme_deltas(order, scheme, 1.0), dtype=int)
+    # every column r + k x must lie inside [0, w - 1]
+    x_max = min((w - 1 - r) // steps.max(), r // -steps.min())
+    if x_max < 1:
+        raise ReferenceOutOfRange(
+            f"reference column {r} leaves no admissible offsets in width {w}")
+    xs_px = np.arange(1, x_max + 1)
+    column_sets = r + np.outer(xs_px, steps)
     profiles = series.profiles
     mean = profiles.mean(axis=0)
     peak = float(mean.max())
@@ -386,14 +395,7 @@ def _correlation_profile(series: ProcessedSeries, column_sets: np.ndarray,
 
 def g3_profile(series: ProcessedSeries, n_batches: int = 10) -> InterferencePattern:
     """Third-order correlation profile at arguments (x, 0, -x)."""
-    r, w = series.reference_column, series.width
-    x_max = min(r, w - 1 - r)
-    if x_max < 1:
-        raise ReferenceOutOfRange(
-            f"reference column {r} leaves no admissible offsets in width {w}")
-    xs_px = np.arange(1, x_max + 1)
-    cols = np.stack([r + xs_px, np.full_like(xs_px, r), r - xs_px], axis=1)
-    return _correlation_profile(series, cols, xs_px, n_batches)
+    return _scheme_profile(series, 3, "symmetric_opposite", n_batches)
 
 
 def g4_profile(series: ProcessedSeries, n_batches: int = 10) -> InterferencePattern:
@@ -403,14 +405,7 @@ def g4_profile(series: ProcessedSeries, n_batches: int = 10) -> InterferencePatt
         raise ReferenceOutOfRange(
             f"fourth-order profiles need the reference column strictly inside "
             f"[width/4, 3*width/4]; got {r} for width {w}")
-    x_max = min(r // 2, w - 1 - r)
-    if x_max < 1:
-        raise ReferenceOutOfRange(
-            f"reference column {r} leaves no admissible offsets in width {w}")
-    xs_px = np.arange(1, x_max + 1)
-    cols = np.stack([r + xs_px, np.full_like(xs_px, r), r - xs_px, r - 2 * xs_px],
-                    axis=1)
-    return _correlation_profile(series, cols, xs_px, n_batches)
+    return _scheme_profile(series, 4, "four_point_double_speed", n_batches)
 
 
 def fringe_visibility(profile: np.ndarray, period_px: float) -> float:

@@ -17,6 +17,7 @@ from icfsim import (
     scan,
     visibility,
 )
+from icfsim.analytic import scheme_deltas
 from icfsim.errors import (
     AllZeroPattern,
     EmptyPattern,
@@ -149,6 +150,43 @@ class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyPattern):
             ScanPattern(order=3, scheme="symmetric_opposite", grid=np.array([]))
+
+
+class TestInvalidScans:
+    """The exception type of each single-fault invalid scan input."""
+
+    GRID = np.linspace(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("order, scheme, grid, deltas, error", [
+        (3, "bogus", GRID, None, ValueError),
+        (4, "symmetric_opposite", GRID, None, UnsupportedOrder),
+        (2, "single_detector", GRID, None, UnsupportedOrder),
+        (3, "four_point_double_speed", GRID, None, UnsupportedOrder),
+        (5, "custom", GRID, np.zeros((3, 5)), UnsupportedOrder),
+        (3, "symmetric_opposite", np.array([]), None, EmptyPattern),
+        (3, "custom", GRID, None, ValueError),
+        (3, "custom", GRID, np.zeros((3, 2)), ValueError),
+        (3, "custom", GRID, np.zeros((4, 3)), ValueError),
+    ])
+    def test_scan_pattern(self, order, scheme, grid, deltas, error):
+        with pytest.raises(error):
+            ScanPattern(order=order, scheme=scheme, grid=grid, deltas=deltas)
+
+    @pytest.mark.parametrize("order, scheme, error", [
+        (3, "bogus", ValueError), (3, "custom", ValueError),
+        (4, "symmetric_opposite", UnsupportedOrder), (2, "single_detector", UnsupportedOrder),
+        (2, "four_point_double_speed", UnsupportedOrder)])
+    def test_scheme_deltas(self, order, scheme, error):
+        with pytest.raises(error):
+            scheme_deltas(order, scheme, self.GRID)
+
+    @pytest.mark.parametrize("order, scheme, error", [
+        (3, "bogus", ValueError), (3, "custom", ValueError),
+        (2, "symmetric_opposite", UnsupportedOrder), (4, "symmetric_opposite", UnsupportedOrder),
+        (4, "single_detector", UnsupportedOrder), (3, "four_point_double_speed", UnsupportedOrder)])
+    def test_extremal_phases(self, order, scheme, error):
+        with pytest.raises(error):
+            extremal_phases(COHERENT, order, scheme)
 
 
 class TestClassicalLimits:

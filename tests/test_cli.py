@@ -16,6 +16,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def plot_labels(path):
+    """A written plot's title and its floor label (None without a floor)."""
+    svg = path.read_text()
+    title = re.search(r'font-size="15">([^<]*)</text>', svg).group(1)
+    floor = re.search(r'fill="#d62728">([^<]*)</text>', svg)
+    return title, floor and floor.group(1)
+
+
 class TestAnalytic:
     def test_coherent_order3_visibility(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -59,6 +67,21 @@ class TestAnalytic:
         assert (tmp_path / "plain.csv").read_bytes() == \
             (tmp_path / "plotted.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, title, floor", [
+        ([], "coherent order-3 scan (V = 0.8182)", "classical-limit floor (V = 0.8182)"),
+        (["--kind", "thermal", "--order", "4"], "thermal order-4 scan (V = 0.7778)",
+         "classical-limit floor (V = 0.7778)"),
+        (["--kind", "custom"], "custom order-3 scan (V = 0.7219)", None),
+    ], ids=["coherent", "thermal-order4", "custom"])
+    def test_plot_title_and_floor_label(self, tmp_path, capsys, argv, title, floor):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"moments": {"2": 1.5, "3": 2.6, "4": 6.0}}
+                                     if argv == ["--kind", "custom"] else {}))
+        code, _, _ = run(capsys, "analytic", "--config", str(config), *argv,
+                         "--out", str(tmp_path / "a.csv"), "--plot", str(tmp_path / "a.svg"))
+        assert code == 0
+        assert plot_labels(tmp_path / "a.svg") == (title, floor)
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["analytic", "--scheme", "zigzag"])
@@ -97,6 +120,18 @@ class TestMc:
         vis = float(text.split("visibility = ")[1].split(" ")[0])
         assert 0.30 < vis < 0.60
 
+
+    def test_plot_title_floor_and_closed_form_overlay(self, tmp_path, capsys):
+        code, text, _ = run(capsys, "mc", "--samples", "20000", "--batches", "20",
+                            "--out", str(tmp_path / "m.csv"), "--plot", str(tmp_path / "m.svg"))
+        assert code == 0
+        assert text.splitlines()[0] == "visibility = 0.817563 +/- 0.001775"
+        assert plot_labels(tmp_path / "m.svg") == (
+            "coherent order-3 Monte Carlo (V = 0.8176 +/- 0.0018)",
+            "classical-limit floor (V = 0.8182)")
+        overlay = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="#999999"',
+                             (tmp_path / "m.svg").read_text())
+        assert len(overlay) == 1 and len(overlay[0].split()) == 25
 
     def test_one_sample_batches_exit_1(self, tmp_path, capsys):
         # a one-sample batch has a ratio of exactly 1, so no spread to measure
@@ -236,6 +271,39 @@ class TestFramesCli:
         assert code == 1
         assert err.startswith("error: ") and "bit depth of 1-16" in err
         assert text == "" and not stack_dir.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--mod-amplitude", "3"], "--mod-amplitude"),
+        (["--mod-frequency", "0.25"], "--mod-frequency"),
+        (["--phase-modulation", "uniform", "--mod-amplitude", "3", "--mod-frequency", "0.25"],
+         "--mod-amplitude and --mod-frequency")])
+    def test_drive_flags_without_harmonic_modulation_exit_1(self, tmp_path, capsys, flags,
+                                                           named):
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
+                              *flags, "--out", str(stack_dir))
+        assert code == 1
+        assert err == f"error: {named} need --phase-modulation harmonic\n"
+        assert text == "" and not stack_dir.exists()
+
+    @pytest.mark.parametrize("key", ["mod_amplitude", "mod-frequency"])
+    def test_drive_config_key_without_harmonic_modulation_exit_1(self, tmp_path, capsys, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 0.5}))
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--config", str(config), "--frames", "2",
+                              "--frame-height", "2", "--out", str(stack_dir))
+        assert code == 1
+        assert err.startswith("error: --mod-") and "--phase-modulation harmonic" in err
+        assert text == "" and not stack_dir.exists()
+        code, _, _ = run(capsys, "synth", "--config", str(config), "--frames", "2",
+                         "--frame-height", "2", "--phase-modulation", "harmonic",
+                         "--out", str(stack_dir))
+        assert code == 0
+        modulation = json.loads((stack_dir / "manifest.json").read_text())[
+            "metadata"]["phase_modulation"]
+        assert modulation["type"] == "harmonic"
+        assert modulation[key.replace("-", "_").removeprefix("mod_")] == 0.5
 
     def test_float_csv_frames_at_bit_depth_0(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"

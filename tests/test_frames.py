@@ -353,6 +353,27 @@ class TestCorrelationProfiles:
         assert g3.xs[0] == pytest.approx(scale)
         assert g4.xs[-1] == pytest.approx(150 * scale)
 
+    @pytest.mark.parametrize("w", [64, 100])
+    @pytest.mark.parametrize("r", [0, 10, 31, 50, 63, 70])
+    def test_offsets_near_each_edge(self, w, r):
+        # x runs over 1..min(r, w-1-r) for (x, 0, -x) and 1..min(r//2, w-1-r)
+        # for (x, 0, -x, -2x), whose reference must also lie inside (w/4, 3w/4)
+        p = np.random.default_rng(w + r).uniform(1.0, 2.0, (20, w))
+        series = ProcessedSeries(profiles=p, reference_column=r, pixel_to_phase=1.0)
+        for profile, steps, x_max, window in (
+                (g3_profile, (1, 0, -1), min(r, w - 1 - r), True),
+                (g4_profile, (1, 0, -1, -2), min(r // 2, w - 1 - r), w / 4 < r < 3 * w / 4)):
+            if x_max < 1 or not window:
+                with pytest.raises(ReferenceOutOfRange):
+                    profile(series)
+                continue
+            got = profile(series, n_batches=2)
+            assert got.xs.tolist() == list(range(1, x_max + 1))
+            for value, x in ((got.values[0], 1), (got.values[-1], x_max)):
+                cols = [r + k * x for k in steps]
+                expected = p[:, cols].prod(axis=1).mean() / p[:, cols].mean(axis=0).prod()
+                assert value == pytest.approx(expected, rel=1e-12)
+
     def test_frozen_phase_factorizes_to_unity(self):
         # an odd fringe period keeps the frozen pattern's zeros off the
         # pixel grid, so the normalization is well defined everywhere
