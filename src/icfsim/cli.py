@@ -100,10 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="RUN.JSON",
                        help="JSON file supplying option values (flags override)")
 
+    def add_format(p):
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="default: the --out suffix, .csv or .json, else csv")
+
     def add_output(p):
         p.add_argument("--out", default="pattern",
                        help="output path (or prefix for multi-file output)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        add_format(p)
         p.add_argument("--plot", metavar="SVG", help="also write an SVG plot")
 
     def add_scan(name, text, grid_points):
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="table of classical visibility limits")
     add_common(p)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_format(p)
 
     p = sub.add_parser("verify", help="certify closed forms against the expansion oracle")
     add_common(p)
@@ -265,14 +269,25 @@ def _scan_pattern(opts: dict) -> ScanPattern:
                        offset=opts.get("offset"))
 
 
-def _write_pattern(pattern: InterferencePattern, out: str, fmt: str) -> Path:
+def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
+    """The file that ``--out`` names and its format, for every command that
+    writes a table: the format is ``--format`` if given, else the .csv or
+    .json suffix of ``out``, else csv, and an ``out`` without such a suffix
+    gains ``.<format>``.  A ``--format`` that contradicts the suffix is an
+    error.
+    """
     path = Path(out)
-    if path.suffix.lower() not in (".csv", ".json"):
-        path = path.with_name(path.name + "." + fmt)
-    if path.suffix.lower() == ".json" or (not path.suffix and fmt == "json"):
-        write_pattern_json(pattern, path)
-    else:
-        write_pattern_csv(pattern, path)
+    suffix = path.suffix.lower()[1:]
+    if suffix not in ("csv", "json"):
+        fmt = fmt or "csv"
+        return path.with_name(f"{path.name}.{fmt}"), fmt
+    if fmt not in (None, suffix):
+        raise IcfSimError(f"--out {out} names a .{suffix} file but --format is {fmt}")
+    return path, suffix
+
+
+def _write_pattern(pattern: InterferencePattern, path: Path, fmt: str) -> Path:
+    (write_pattern_json if fmt == "json" else write_pattern_csv)(pattern, path)
     return path
 
 
@@ -295,9 +310,10 @@ def _limit_lines(vis: float, order: int, kind: str, err: float | None = None) ->
     return lines
 
 
-def _report_scan(opts: dict, pattern: InterferencePattern, err: float | None = None,
-                 overlay: InterferencePattern | None = None) -> None:
-    """Print a scan's visibility lines, write the scan and, given --plot, plot it.
+def _report_scan(opts: dict, target: tuple[Path, str], pattern: InterferencePattern,
+                 err: float | None = None, overlay: InterferencePattern | None = None) -> None:
+    """Print a scan's visibility lines, write the scan to ``target`` (from
+    ``_output_path``) and, given --plot, plot it.
 
     ``err``, the visibility's stderr, marks a Monte Carlo scan; a coherent
     or thermal plot also draws the minimum that the classical-limit
@@ -306,8 +322,7 @@ def _report_scan(opts: dict, pattern: InterferencePattern, err: float | None = N
     order, kind = opts["order"], opts["kind"]
     for line in _limit_lines(pattern.visibility, order, kind, err):
         print(line)
-    path = _write_pattern(pattern, opts["out"], opts["format"])
-    print(f"wrote {path}")
+    print(f"wrote {_write_pattern(pattern, *target)}")
     if opts.get("plot"):
         floor, label = None, ""
         if kind in ("coherent", "thermal"):
@@ -322,29 +337,32 @@ def _report_scan(opts: dict, pattern: InterferencePattern, err: float | None = N
 
 
 def cmd_analytic(opts: dict) -> int:
-    _report_scan(opts, scan(_model(opts), _scan_pattern(opts)))
+    target = _output_path(opts["out"], opts["format"])
+    _report_scan(opts, target, scan(_model(opts), _scan_pattern(opts)))
     return 0
 
 
 def cmd_mc(opts: dict) -> int:
+    target = _output_path(opts["out"], opts["format"])
     model, spec = _model(opts), _scan_pattern(opts)
     pattern = estimate_scan(model, spec, n_samples=opts["samples"],
                             n_batches=opts["batches"], seed=opts["seed"],
                             workers=_workers())
     overlay = scan(model, spec) if opts.get("plot") else None
-    _report_scan(opts, pattern, pattern.visibility_stderr(), overlay)
+    _report_scan(opts, target, pattern, pattern.visibility_stderr(), overlay)
     return 0
 
 
 def cmd_limits(opts: dict) -> int:
+    target = _output_path(opts["out"], opts["format"]) if opts.get("out") else None
     rows = [(order, kind, classical_limit(order, kind))
             for kind in ("coherent", "thermal") for order in (2, 3, 4)]
     print(f"{'order':>5}  {'kind':<8}  {'limit':>10}  {'percent':>8}")
     for order, kind, value in rows:
         print(f"{order:>5}  {kind:<8}  {value:>10.8f}  {100 * value:>7.2f}%")
-    if opts.get("out"):
-        path = Path(opts["out"])
-        if opts["format"] == "json" or path.suffix.lower() == ".json":
+    if target:
+        path, fmt = target
+        if fmt == "json":
             path.write_text(json.dumps(
                 [{"order": o, "kind": k, "limit": v} for o, k, v in rows],
                 indent=2) + "\n")
@@ -432,7 +450,7 @@ def cmd_process(opts: dict) -> int:
 
     out = opts["out"]
     fmt = opts["format"]
-    written = [_write_pattern(intensity, f"{out}_intensity", fmt)]
+    written = [_write_pattern(intensity, *_output_path(f"{out}_intensity", fmt))]
 
     batches = opts["batches"]
     g3 = g3_profile(series, n_batches=batches)
@@ -442,7 +460,7 @@ def cmd_process(opts: dict) -> int:
               f"({2 * max(batches, 2)} frames for {max(batches, 2)} batches)", file=sys.stderr)
     err = g3.visibility_stderr()
     print(f"g3 visibility = {g3.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
-    written.append(_write_pattern(g3, f"{out}_g3", fmt))
+    written.append(_write_pattern(g3, *_output_path(f"{out}_g3", fmt)))
     patterns = {"g3": g3}
     try:
         g4 = g4_profile(series, n_batches=batches)
@@ -451,7 +469,7 @@ def cmd_process(opts: dict) -> int:
     else:
         err = g4.visibility_stderr()
         print(f"g4 visibility = {g4.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
-        written.append(_write_pattern(g4, f"{out}_g4", fmt))
+        written.append(_write_pattern(g4, *_output_path(f"{out}_g4", fmt)))
         patterns["g4"] = g4
     for path in written:
         print(f"wrote {path}")

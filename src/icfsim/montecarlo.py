@@ -36,6 +36,8 @@ from .errors import BadBatching
 # detector_intensities is not called here; it stays importable from this
 # module because perfbench's traced run wraps it under this name.
 from .sources import (  # noqa: F401
+    TRIG_CHUNK,
+    TRIG_SCRATCH,
     SourceModel,
     coherence_envelope,
     detector_intensities,
@@ -61,17 +63,25 @@ class IcfEstimate:
     n_batches: int
 
 
-def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
+def _workspace(work, count: int, shape: tuple, slot: str = "task") -> list[np.ndarray]:
     """``count`` arrays of ``shape``, kept in ``work`` (a ``threading.local``,
-    or None) for the calling thread's next task and made anew for another
-    shape.  Separate arrays, not one block, so that a scan's small arrays
-    come from memory the allocator already holds.
+    or None) under ``slot`` for the calling thread's next task and made anew
+    for another shape.  Separate arrays, not one block, so that a scan's
+    small arrays come from memory the allocator already holds.
     """
-    work = threading.local() if work is None else work
-    if getattr(work, "key", None) != (count, shape):
-        work.arrays = None  # the old arrays are freed before new ones are made
-        work.key, work.arrays = (count, shape), [np.empty(shape) for _ in range(count)]
-    return work.arrays
+    if work is None:
+        return [np.empty(shape) for _ in range(count)]
+    key, arrays = getattr(work, slot, (None, None))
+    if key != (count, shape):
+        setattr(work, slot, None)  # the old arrays are freed before new ones are made
+        arrays = [np.empty(shape) for _ in range(count)]
+        setattr(work, slot, ((count, shape), arrays))
+    return arrays
+
+
+def _trig_scratch(work) -> list[np.ndarray]:
+    """The calling thread's ``cos_sin`` scratch: a fixed size, whatever the batch."""
+    return _workspace(work, TRIG_SCRATCH, (TRIG_CHUNK,), slot="trig")
 
 
 def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], lock, ia, ib, theta):
@@ -94,7 +104,8 @@ def _task_sums(model: SourceModel, delta: np.ndarray,
     _draw(model, seeds, lock, ia, ib, theta)
     prod.fill(1.0)
     sums = np.empty((len(seeds), len(delta)))
-    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row)):
+    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row,
+                                          _trig_scratch(work))):
         sums[:, j] = row.sum(axis=-1)
         prod *= row
     return prod.sum(axis=-1), sums
@@ -117,7 +128,7 @@ def _power_sums(model: SourceModel, order: int,
     ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
                                                              (len(seeds), size))
     _draw(model, seeds, lock, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, term)
+    base, c, s = field_terms(ia, ib, theta, term, _trig_scratch(work))
     base_pow = [None, base]  # None: base^0
     for p in higher:
         base_pow.append(np.multiply(base_pow[-1], base, out=p))
@@ -201,7 +212,8 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
                 workers: int) -> list[np.ndarray]:
     """Run ``task_sums(seeds, size, lock, work)`` over the batch seeds spawned from
     ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
-    batches, and join the per-batch rows it returns in batch order.
+    batches, on a pool of ``min(workers, runs)`` threads or inline, and join
+    the per-batch rows it returns in batch order.
     """
     batch_size = _check_batching(n_samples, n_batches)
     if workers < 1:
@@ -215,6 +227,7 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     # for each other; one samples while the others reduce their samples.
     # Each thread's work arrays live in ``work`` for this call only.
     run = partial(task_sums, size=batch_size, lock=threading.Lock(), work=threading.local())
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))

@@ -169,6 +169,58 @@ class TestLimits:
         assert {"order": 4, "kind": "coherent", "limit": 17 / 18} in rows
 
 
+class TestOutputPath:
+    """analytic, mc and limits resolve --out and --format by one rule."""
+
+    @pytest.mark.parametrize("argv", [
+        ["limits"],
+        ["analytic", "--grid-points", "5"],
+        ["mc", "--samples", "2000", "--batches", "10", "--grid-points", "3"],
+    ], ids=["limits", "analytic", "mc"])
+    def test_contradicting_format_exit_1_before_any_output(self, tmp_path, capsys, argv):
+        # `limits --out t.csv --format json` wrote JSON into t.csv, and
+        # `analytic --out a.csv --format json` wrote CSV
+        code, text, err = run(capsys, *argv, "--out", str(tmp_path / "t.csv"),
+                              "--format", "json")
+        assert (code, text) == (1, "")
+        assert err.startswith("error: --out ") and ".csv" in err and "json" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", [None, "csv", "json"])
+    def test_limits_out_without_suffix_gains_one(self, tmp_path, capsys, fmt):
+        # `limits --out t2` wrote t2, where `analytic --out t2` writes t2.csv
+        flags = [] if fmt is None else ["--format", fmt]
+        code, text, _ = run(capsys, "limits", "--out", str(tmp_path / "t2"), *flags)
+        path = tmp_path / f"t2.{fmt or 'csv'}"
+        assert code == 0 and text.endswith(f"wrote {path}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        if fmt == "json":
+            assert json.loads(path.read_text())[0] == {"order": 2, "kind": "coherent",
+                                                       "limit": 0.5}
+        else:
+            assert path.read_text().splitlines()[0] == "order,kind,limit"
+
+    @pytest.mark.parametrize("command", ["limits", "analytic"])
+    @pytest.mark.parametrize("suffix, fmt", [(".csv", None), (".json", None),
+                                             (".csv", "csv"), (".json", "json"),
+                                             (".CSV", "csv")])
+    def test_same_file_for_limits_and_patterns(self, tmp_path, capsys, command, suffix, fmt):
+        flags = [] if fmt is None else ["--format", fmt]
+        out = tmp_path / f"t{suffix}"
+        extra = ["--grid-points", "5"] if command == "analytic" else []
+        code, _, _ = run(capsys, command, *extra, "--out", str(out), *flags)
+        assert code == 0 and [p.name for p in tmp_path.iterdir()] == [out.name]
+        heads = {("analytic", "json"): "{", ("limits", "json"): "[",
+                 ("analytic", "csv"): "x_rad", ("limits", "csv"): "order"}
+        assert out.read_text().startswith(heads[command, suffix[1:].lower()])
+
+    def test_analytic_out_without_suffix_takes_the_format(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "analytic", "--grid-points", "5",
+                         "--out", str(tmp_path / "a"), "--format", "json")
+        assert code == 0
+        assert read_pattern_json(tmp_path / "a.json").values.shape == (5,)
+
+
 class TestVerify:
     def test_all_orders_pass(self, capsys):
         code, text, _ = run(capsys, "verify", "--trials", "200")

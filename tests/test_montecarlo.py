@@ -137,6 +137,13 @@ class TestDeterminism:
         assert created == []
         estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=2)
         assert created == [2]
+        # 10 batches of 200 samples make one task, which runs inline
+        estimate_scan(THERMAL, pattern, 2_000, n_batches=10, seed=9, workers=2)
+        estimate_icf(THERMAL, [0.4, 0.0], 2_000, n_batches=10, seed=9, workers=2)
+        assert created == [2]
+        # two tasks: a pool of two threads, not four
+        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=4)
+        assert created == [2, 2]
 
     def test_point_estimate_independent_of_grid(self):
         # every point contracts the same per-batch draws, and every sum over
@@ -340,8 +347,31 @@ class TestEnvelopeScan:
 
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
 # batch), seed 2718, as float.hex of (values, stderrs); made once the points
-# of a scan shared their draws.  TestSharedSamples ties them to estimate_icf.
+# of a scan shared their draws, and made again once cos and sin came from
+# sources.cos_sin.  TestSharedSamples ties them to estimate_icf, and
+# TestRepin to the values of numpy's cos and sin in PINNED_SCANS_LIBM.
 PINNED_SCANS = {
+    ("coherent", 3, "symmetric_opposite"): (
+        ["0x1.3fe52bb459a1ap+1", "0x1.000fcde2c4dbcp-2", "0x1.000fcde2c4dbbp-2",
+         "0x1.3fe52bb459a1ap+1"],
+        ["0x1.884f68e43997ep-7", "0x1.4f11832b868fdp-11", "0x1.4f11832b868bfp-11",
+         "0x1.884f68e43997ep-7"]),
+    ("thermal", 4, "four_point_double_speed"): (
+        ["0x1.83b4e91b73c3fp+4", "0x1.d6f5da429b2d5p+1", "0x1.da7b4e3e05c1ep+1",
+         "0x1.83b4e91b73c3fp+4"],
+        ["0x1.9c4076c6053f5p-2", "0x1.32f720c6e23f8p-4", "0x1.28f877d3c687dp-4",
+         "0x1.9c4076c6053f5p-2"]),
+    ("thermal", 3, "single_detector"): (
+        ["0x1.024d8de97e9e4p+2", "0x1.a2f199e6f6c4bp+0", "0x1.b096bf2db2097p+1",
+         "0x1.024d8de97e9e5p+2"],
+        ["0x1.1caaeb9434379p-5", "0x1.248bb6b931bf5p-7", "0x1.35313dd6de079p-5",
+         "0x1.1caaeb9434373p-5"]),
+}
+
+# estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
+# batch), seed 2718, as float.hex of (values, stderrs); made once the points
+# of a scan shared their draws, while cos and sin came from numpy.
+PINNED_SCANS_LIBM = {
     ("coherent", 3, "symmetric_opposite"): (
         ["0x1.3fe52bb459a1ap+1", "0x1.000fcde2c4dbcp-2", "0x1.000fcde2c4dbbp-2",
          "0x1.3fe52bb459a1ap+1"],
@@ -361,9 +391,21 @@ PINNED_SCANS = {
 
 
 # estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
-# kernels wrote into reused buffers; 400 000 samples in 10 batches make one
-# task per batch, 20 000 in 20 batches several batches per task.
+# kernels wrote into reused buffers and made again once cos and sin came
+# from sources.cos_sin; 400 000 samples in 10 batches make one task per
+# batch, 20 000 in 20 batches several batches per task.
 PINNED_POINTS = {
+    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a29ap-4"),
+    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15cp-1"),
+    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f21p-8"),
+    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512cp+1", "0x1.e7a81de7dc215p-7"),
+    ("thermal-1", 400_000, 10): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("thermal-1", 20_000, 20): ("0x1.0000000000000p+0", "0x0.0p+0"),
+}
+
+# estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
+# kernels wrote into reused buffers, while cos and sin came from numpy.
+PINNED_POINTS_LIBM = {
     ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a29ap-4"),
     ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15cp-1"),
     ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f21p-8"),
@@ -405,6 +447,21 @@ class TestWorkBuffers:
                     assert (pinned_point(case, 400_000, 10, workers)
                             == PINNED_POINTS[(case, 400_000, 10)])
 
+    @pytest.mark.parametrize("kernel", ["_task_sums", "_power_sums"])
+    def test_trig_scratch_does_not_grow_with_batch_size(self, kernel):
+        import threading
+
+        import icfsim.montecarlo as mc
+        from icfsim.sources import TRIG_CHUNK, TRIG_SCRATCH
+        work = threading.local()
+        first = 4 if kernel == "_power_sums" else np.zeros(4)
+        seeds = np.random.SeedSequence(3).spawn(2)
+        for size in (10, 3 * TRIG_CHUNK + 1, 50_000):
+            getattr(mc, kernel)(THERMAL, first, seeds, size, work=work)
+            key, arrays = work.trig
+            assert key == (TRIG_SCRATCH, (TRIG_CHUNK,))
+            assert all(a.shape == (TRIG_CHUNK,) for a in arrays)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page-fault counts are read on Linux")
     def test_single_thread_batches_do_not_page_fault(self):
@@ -418,6 +475,30 @@ class TestWorkBuffers:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         # a batch's array of 40 000 doubles spans 78 pages
         assert faults < 64 * 50
+
+
+class TestRepin:
+    """The pins made with ``sources.cos_sin`` stay within rounding of those
+    made with numpy's cos and sin."""
+
+    @staticmethod
+    def assert_close(new, old):
+        for n, o in zip(new, old, strict=True):
+            n, o = float.fromhex(n), float.fromhex(o)
+            assert abs(n - o) <= 1e-13 * abs(o)
+
+    @pytest.mark.parametrize("case", list(PINNED_SCANS), ids=lambda c: "-".join(map(str, c)))
+    def test_scan_pins_within_rounding_of_libm(self, case):
+        for new, old in zip(PINNED_SCANS[case], PINNED_SCANS_LIBM[case], strict=True):
+            self.assert_close(new, old)
+
+    @pytest.mark.parametrize("case", list(PINNED_POINTS), ids=lambda c: "-".join(map(str, c)))
+    def test_point_pins_within_rounding_of_libm(self, case):
+        self.assert_close(PINNED_POINTS[case], PINNED_POINTS_LIBM[case])
+
+    def test_every_pin_has_a_libm_pin(self):
+        assert PINNED_SCANS.keys() == PINNED_SCANS_LIBM.keys()
+        assert PINNED_POINTS.keys() == PINNED_POINTS_LIBM.keys()
 
 
 class TestRatioOfMeans:

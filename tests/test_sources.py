@@ -19,7 +19,7 @@ from icfsim.errors import (
     NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
-from icfsim.sources import detector_intensities
+from icfsim.sources import TRIG_CHUNK, cos_sin, detector_intensities
 
 
 def exponential_moment(k):
@@ -197,6 +197,50 @@ class TestDetectorIntensities:
         assert np.max(np.abs(got - direct) / (ia + ib)) < 1e-12
         for before, after in zip(inputs, (ia, ib, theta)):
             assert np.array_equal(before, after)
+
+
+def kernel(theta):
+    theta = np.asarray(theta, dtype=float)
+    return cos_sin(theta, np.empty_like(theta), np.empty_like(theta))
+
+
+def assert_kernel_matches_numpy(theta):
+    """``cos_sin`` against numpy's cos and sin, to 2**-52 absolute."""
+    c, s = kernel(theta)
+    assert np.max(np.abs(c - np.cos(theta))) <= 2.0 ** -52
+    assert np.max(np.abs(s - np.sin(theta))) <= 2.0 ** -52
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4e-16
+
+
+class TestCosSin:
+    """``cos_sin`` on fixed inputs; tests/test_cos_sin_property.py draws more."""
+
+    def test_seeded_draws_on_one_turn(self):
+        assert_kernel_matches_numpy(np.random.default_rng(21).random(1_000_000) * 2 * np.pi)
+
+    def test_every_table_node(self):
+        assert_kernel_matches_numpy(np.arange(256) * (2 * np.pi / 256))
+
+    def test_quadrant_points(self):
+        theta = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.nextafter(2 * np.pi, 0)])
+        assert_kernel_matches_numpy(theta)
+        c, s = kernel(theta[:1])
+        assert (c[0], s[0]) == (1.0, 0.0)
+
+    def test_value_independent_of_chunk_boundaries(self):
+        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 20_001)
+        assert len(theta) > 2 * TRIG_CHUNK
+        c, s = kernel(theta)
+        for i in (0, 1, TRIG_CHUNK - 1, TRIG_CHUNK, 2 * TRIG_CHUNK + 3, len(theta) - 1):
+            one_c, one_s = kernel(theta[i:i + 1])
+            assert (one_c[0], one_s[0]) == (c[i], s[i])
+
+    def test_sine_may_overwrite_theta(self):
+        theta = np.random.default_rng(23).random((3, 5000)) * 2 * np.pi
+        c, s = kernel(theta)
+        cos = np.empty_like(theta)
+        cos_sin(theta, cos, theta)
+        assert np.array_equal(cos, c) and np.array_equal(theta, s)
 
 
 class TestSerialization:
