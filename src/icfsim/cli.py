@@ -354,7 +354,9 @@ def cmd_mc(opts: dict) -> int:
 
 
 def cmd_limits(opts: dict) -> int:
-    target = _output_path(opts["out"], opts["format"]) if opts.get("out") else None
+    if opts["format"] and not opts["out"]:
+        raise IcfSimError(f"--format {opts['format']} needs --out: the table is printed as text")
+    target = _output_path(opts["out"], opts["format"]) if opts["out"] else None
     rows = [(order, kind, classical_limit(order, kind))
             for kind in ("coherent", "thermal") for order in (2, 3, 4)]
     print(f"{'order':>5}  {'kind':<8}  {'limit':>10}  {'percent':>8}")

@@ -198,7 +198,7 @@ class FrameReader:
         self._first = self._read(self.paths[0])
         self.shape = self._first.shape
         self.dtype = self._first.dtype
-        period = fringe_period_px or manifest.get("fringe_period_px")
+        period = manifest.get("fringe_period_px") if fringe_period_px is None else fringe_period_px
         if period is None:
             period = estimate_fringe_period(self._first)
         self.fringe_period_px = float(period)

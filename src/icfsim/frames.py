@@ -29,7 +29,6 @@ read noise, clamping, quantization to the configured bit depth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .errors import (
     ReferenceOutOfRange,
     RoiOutOfBounds,
 )
-from .montecarlo import ratio_of_means
+from .montecarlo import ratio_of_means, run_tasks
 from .sources import SourceModel, sample_batch
 
 # Pixels per render task: enough that small frames share their numpy calls,
@@ -216,15 +215,14 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     is given (amplitude 0 freezes the pattern).  Each frame draws from its
     own seeded substream, so the stack is reproducible bit-for-bit for any
     worker count.  Frames are rendered in tasks of consecutive frames
-    (``_TASK_PIXELS`` pixels, at least one frame); the split depends on the
-    frame shape only.  Full-scale pixels are counted into the metadata as
-    ``saturated_pixels`` and ``saturated_frames``.
+    (``_TASK_PIXELS`` pixels, at least one frame), whose split depends on the
+    frame shape only, by ``montecarlo.run_tasks`` on ``workers`` threads.
+    Full-scale pixels are counted into the metadata as ``saturated_pixels``
+    and ``saturated_frames``.
     """
     optics = optics or FrameOptics()
     if n < 1:
         raise ValueError(f"need at least one frame, got n = {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not optics.fringe_period_px >= 4:
         raise BadOptics(
             f"fringe_period_px must be >= 4 px (Nyquist margin), got {optics.fringe_period_px!r}")
@@ -235,6 +233,10 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         peak_level = _default_peak_level(model, optics.bit_depth)
     if not peak_level > 0:
         raise BadOptics(f"peak_level must be positive, got {peak_level!r}")
+    if not optics.noise.gaussian_sigma >= 0:
+        raise BadOptics(f"gaussian_sigma must be >= 0, got {optics.noise.gaussian_sigma!r}")
+    if optics.envelope_fwhm_px is not None and not optics.envelope_fwhm_px > 0:
+        raise BadOptics(f"envelope_fwhm_px must be positive, got {optics.envelope_fwhm_px!r}")
 
     height, width = optics.frame_height, optics.frame_width
     envelope = _envelope_row(width, optics.envelope_fwhm_px)
@@ -290,16 +292,7 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         full = out[start:stop] == vmax
         return int(np.count_nonzero(full)), int(np.count_nonzero(full.any(axis=(1, 2))))
 
-    starts = range(0, n, per_task)
-    if workers > 1 and len(starts) > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            counts = list(pool.map(render, starts))
-        finally:
-            # a failed task leaves no queued task and no thread behind
-            pool.shutdown(cancel_futures=True)
-    else:
-        counts = [render(start) for start in starts]
+    counts = run_tasks(render, range(0, n, per_task), workers)
 
     if modulation is not None:
         phase_modulation = {"type": "harmonic",

@@ -14,10 +14,11 @@ scan it serves every grid point: the draws are reduced once to monomial
 sums that each point contracts with its own coefficients.  So a point's
 value and stderr do not depend on the rest of the grid, and the errors of a
 scan's points are correlated.  A call's work is one list of tasks, runs of
-consecutive batches sized from the batch size alone, on one thread pool
-(or inline) and merged in batch order: results do not depend on workers.
-Each thread reuses its work buffers from task to task within a call, so
-batches do not fault in fresh memory; the buffers go when the call returns.
+consecutive batches sized from the batch size alone; ``run_tasks``, which
+renders frames too, runs them on one thread pool (or inline) and merges
+them in order: results do not depend on workers.  Each thread reuses its
+work buffers from task to task within a call, so batches do not fault in
+fresh memory; the buffers go when the call returns.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .errors import BadBatching
 # detector_intensities is not called here; it stays importable from this
 # module because perfbench's traced run wraps it under this name.
 from .sources import (  # noqa: F401
-    TRIG_CHUNK,
-    TRIG_SCRATCH,
     SourceModel,
     coherence_envelope,
     detector_intensities,
@@ -63,25 +62,20 @@ class IcfEstimate:
     n_batches: int
 
 
-def _workspace(work, count: int, shape: tuple, slot: str = "task") -> list[np.ndarray]:
+def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
     """``count`` arrays of ``shape``, kept in ``work`` (a ``threading.local``,
-    or None) under ``slot`` for the calling thread's next task and made anew
-    for another shape.  Separate arrays, not one block, so that a scan's
-    small arrays come from memory the allocator already holds.
+    or None) for the calling thread's next task and made anew for another
+    shape.  Separate arrays, not one block, so that a scan's small arrays
+    come from memory the allocator already holds.
     """
     if work is None:
         return [np.empty(shape) for _ in range(count)]
-    key, arrays = getattr(work, slot, (None, None))
+    key, arrays = getattr(work, "arrays", (None, None))
     if key != (count, shape):
-        setattr(work, slot, None)  # the old arrays are freed before new ones are made
+        work.arrays = None  # the old arrays are freed before new ones are made
         arrays = [np.empty(shape) for _ in range(count)]
-        setattr(work, slot, ((count, shape), arrays))
+        work.arrays = ((count, shape), arrays)
     return arrays
-
-
-def _trig_scratch(work) -> list[np.ndarray]:
-    """The calling thread's ``cos_sin`` scratch: a fixed size, whatever the batch."""
-    return _workspace(work, TRIG_SCRATCH, (TRIG_CHUNK,), slot="trig")
 
 
 def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], lock, ia, ib, theta):
@@ -104,8 +98,7 @@ def _task_sums(model: SourceModel, delta: np.ndarray,
     _draw(model, seeds, lock, ia, ib, theta)
     prod.fill(1.0)
     sums = np.empty((len(seeds), len(delta)))
-    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row,
-                                          _trig_scratch(work))):
+    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row)):
         sums[:, j] = row.sum(axis=-1)
         prod *= row
     return prod.sum(axis=-1), sums
@@ -128,7 +121,7 @@ def _power_sums(model: SourceModel, order: int,
     ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
                                                              (len(seeds), size))
     _draw(model, seeds, lock, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, term, _trig_scratch(work))
+    base, c, s = field_terms(ia, ib, theta, term)
     base_pow = [None, base]  # None: base^0
     for p in higher:
         base_pow.append(np.multiply(base_pow[-1], base, out=p))
@@ -208,16 +201,29 @@ def _check_batching(n_samples: int, n_batches: int) -> int:
     return n_samples // n_batches
 
 
+def run_tasks(fn, tasks, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` on ``min(workers, len(tasks))``
+    threads, or inline for one.  A task that raises cancels those not yet
+    started; the running ones finish before the error propagates, so no
+    thread outlives the call.  Monte Carlo batches and frames both run here.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
                 workers: int) -> list[np.ndarray]:
     """Run ``task_sums(seeds, size, lock, work)`` over the batch seeds spawned from
     ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
-    batches, on a pool of ``min(workers, runs)`` threads or inline, and join
-    the per-batch rows it returns in batch order.
+    batches, through ``run_tasks``, and join the per-batch rows it returns
+    in batch order.
     """
     batch_size = _check_batching(n_samples, n_batches)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     seeds = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed).spawn(n_batches)
     per_task = max(1, _TASK_SAMPLES // batch_size)
     tasks = [seeds[k:k + per_task] for k in range(0, len(seeds), per_task)]
@@ -227,13 +233,7 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     # for each other; one samples while the others reduce their samples.
     # Each thread's work arrays live in ``work`` for this call only.
     run = partial(task_sums, size=batch_size, lock=threading.Lock(), work=threading.local())
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
-    return [np.concatenate(parts) for parts in zip(*results)]
+    return [np.concatenate(parts) for parts in zip(*run_tasks(run, tasks, workers))]
 
 
 def estimate_icf(model: SourceModel, delta, n_samples: int,

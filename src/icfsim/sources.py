@@ -230,7 +230,7 @@ def _node_tables():
 _COS_HI, _COS_LO, _SIN_HI, _SIN_LO = _node_tables()
 
 
-def cos_sin(theta, cos, sin, scratch=None):
+def cos_sin(theta, cos, sin):
     """Write cos(theta) into ``cos`` and sin(theta) into ``sin``.
 
     The arrays are C-contiguous and of one shape; ``sin`` may be ``theta``
@@ -240,13 +240,13 @@ def cos_sin(theta, cos, sin, scratch=None):
     For |theta| <= 1e4 the error against numpy's cos and sin is at most
     2**-52 (it is tested there; the reduction stays exact to |theta| of
     about 1e7), and a value does not depend on the array it sits in.
-    ``scratch`` is TRIG_SCRATCH float arrays of TRIG_CHUNK elements, made
-    per call when None.  The numpy calls take positional ``out`` arrays and
-    0-d constants, which shortens the interpreter-lock time between them
-    that threads running this kernel share.
+    Each call makes its own TRIG_SCRATCH scratch arrays of TRIG_CHUNK
+    elements, whatever the size of ``theta``.  The numpy calls take
+    positional ``out`` arrays and 0-d constants, which shortens the
+    interpreter-lock time between them that threads running this kernel
+    share.
     """
-    if scratch is None:
-        scratch = [np.empty(TRIG_CHUNK) for _ in range(TRIG_SCRATCH)]
+    scratch = [np.empty(TRIG_CHUNK) for _ in range(TRIG_SCRATCH)]
     mul, add, sub, K = np.multiply, np.add, np.subtract, _K
     flat = [a.reshape(-1) for a in (theta, cos, sin)]
     for start in range(0, theta.size, TRIG_CHUNK):
@@ -275,21 +275,20 @@ def cos_sin(theta, cos, sin, scratch=None):
     return cos, sin
 
 
-def field_terms(ia, ib, theta, amp, scratch=None):
+def field_terms(ia, ib, theta, amp):
     """base = Ia + Ib, c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib)
     sin(theta), written over ``ia``, ``ib`` and ``theta`` and returned in
     that order; ``amp`` is left holding 2 sqrt(Ia Ib).  cos and sin come
-    from ``cos_sin`` (within 2**-52 of numpy's for |theta| <= 1e4), which
-    takes ``scratch``.
+    from ``cos_sin`` (within 2**-52 of numpy's for |theta| <= 1e4).
     """
     np.sqrt(np.multiply(ia, ib, out=amp), out=amp)
     amp *= 2.0
     np.add(ia, ib, out=ia)
-    cos_sin(theta, ib, theta, scratch)
+    cos_sin(theta, ib, theta)
     return ia, np.multiply(ib, amp, out=ib), np.multiply(theta, amp, out=theta)
 
 
-def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row, scratch=None):
+def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row):
     """Yield the instantaneous intensity at each detector in turn.
 
     I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j), where E_j is the
@@ -300,11 +299,11 @@ def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row, scratch=No
     draws ``ia``, ``ib`` and ``theta`` and the scratch arrays ``amp`` and
     ``row`` all have one shape; the draws and ``amp`` are overwritten, and
     every row is written into ``row``: use a row before asking for the
-    next.  ``scratch`` goes to ``cos_sin``.
+    next.
     """
     delta = np.asarray(delta, dtype=float)
     env = coherence_envelope(model, delta)
-    base, c, s = field_terms(ia, ib, theta, amp, scratch)
+    base, c, s = field_terms(ia, ib, theta, amp)
     for kc, ks in zip(env * np.cos(delta), env * np.sin(delta)):
         np.multiply(c, kc, out=row)
         row += base

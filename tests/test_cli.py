@@ -176,15 +176,32 @@ class TestOutputPath:
         ["limits"],
         ["analytic", "--grid-points", "5"],
         ["mc", "--samples", "2000", "--batches", "10", "--grid-points", "3"],
-    ], ids=["limits", "analytic", "mc"])
-    def test_contradicting_format_exit_1_before_any_output(self, tmp_path, capsys, argv):
-        # `limits --out t.csv --format json` wrote JSON into t.csv, and
-        # `analytic --out a.csv --format json` wrote CSV
-        code, text, err = run(capsys, *argv, "--out", str(tmp_path / "t.csv"),
-                              "--format", "json")
+        ["limits", "--format", "json"],
+    ], ids=["limits", "analytic", "mc", "limits-without-out"])
+    def test_contradicting_format_exit_1_before_any_output(self, tmp_path, capsys,
+                                                           monkeypatch, argv):
+        # `limits --out t.csv --format json` wrote JSON into t.csv,
+        # `analytic --out a.csv --format json` wrote CSV, and `limits
+        # --format json` printed the text table and exited 0
+        monkeypatch.chdir(tmp_path)
+        if "--format" in argv:
+            code, text, err = run(capsys, *argv)
+            assert err == "error: --format json needs --out: the table is printed as text\n"
+        else:
+            code, text, err = run(capsys, *argv, "--out", "t.csv", "--format", "json")
+            assert err.startswith("error: --out ") and ".csv" in err and "json" in err
         assert (code, text) == (1, "")
-        assert err.startswith("error: --out ") and ".csv" in err and "json" in err
         assert not any(tmp_path.iterdir())
+
+    def test_limits_config_format_without_out_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"format": "csv"}))
+        code, text, err = run(capsys, "limits", "--config", str(config))
+        assert (code, text) == (1, "")
+        assert err.startswith("error: --format csv needs --out")
+        code, text, _ = run(capsys, "limits", "--config", str(config),
+                            "--out", str(tmp_path / "t"))
+        assert code == 0 and text.endswith(f"wrote {tmp_path / 't.csv'}\n")
 
     @pytest.mark.parametrize("fmt", [None, "csv", "json"])
     def test_limits_out_without_suffix_gains_one(self, tmp_path, capsys, fmt):
@@ -323,6 +340,19 @@ class TestFramesCli:
         assert code == 1
         assert err.startswith("error: ") and "bit depth of 1-16" in err
         assert text == "" and not stack_dir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise-sigma", "-5"], "gaussian_sigma must be >= 0, got -5.0"),
+        (["--envelope-fwhm-px", "0"], "envelope_fwhm_px must be positive, got 0.0"),
+        (["--envelope-fwhm-px", "-40"], "envelope_fwhm_px must be positive, got -40.0"),
+    ])
+    def test_bad_noise_or_envelope_exit_1(self, tmp_path, capsys, flags, message):
+        # each exited 0: no read noise, dark fringes, or the width +40
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
+                              *flags, "--out", str(stack_dir))
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not stack_dir.exists()
 
     @pytest.mark.parametrize("flags, named", [
         (["--mod-amplitude", "3"], "--mod-amplitude"),

@@ -178,6 +178,18 @@ class TestStackRoundTrip:
         again = load_frames(manifest, fringe_period_px=9.0)
         assert again.fringe_period_px == 9.0
 
+    def test_zero_supplied_period_rejected(self, tmp_path):
+        # a falsy supplied period fell back to the manifest's
+        manifest = save_frames(random_stack(np.random.default_rng(8)), tmp_path / "stack")
+        with pytest.raises(BadOptics, match="positive"):
+            FrameReader(manifest, fringe_period_px=0.0)
+        with pytest.raises(BadOptics, match="positive"):
+            load_frames(manifest, fringe_period_px=0.0)
+        code = main(["process", str(manifest), "--period-px", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert not any(tmp_path.glob("run*"))
+
     def test_missing_period_is_fitted(self, tmp_path):
         stack = synth_frames(SourceModel.coherent(),
                              FrameOptics(noise=NoiseModel.none(), bit_depth=16,

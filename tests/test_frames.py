@@ -104,6 +104,14 @@ class TestSynth:
             synth_frames(COHERENT, FrameOptics(peak_level=0.0), n=1, seed=1)
         with pytest.raises(ValueError):
             synth_frames(COHERENT, n=0, seed=1)
+        # a negative read noise was recorded and rendered as none, a zero
+        # envelope width gave dark frames, a negative one its absolute value
+        for optics in (FrameOptics(noise=NoiseModel(gaussian_sigma=-5.0)),
+                       FrameOptics(noise=NoiseModel(gaussian_sigma=math.nan)),
+                       FrameOptics(envelope_fwhm_px=0.0),
+                       FrameOptics(envelope_fwhm_px=-40.0)):
+            with pytest.raises(BadOptics):
+                synth_frames(COHERENT, optics, n=1, seed=1)
 
     def test_worker_determinism(self):
         a = synth_frames(THERMAL, n=40, seed=7)
@@ -174,14 +182,16 @@ class TestRenderTasks:
                 assert np.array_equal(stack.frames, expected), (frames_per_task, workers)
 
     def test_one_pool_per_multi_task_call(self, monkeypatch):
+        import icfsim.montecarlo as mc
         created = []
 
-        class SpyPool(frames_module.ThreadPoolExecutor):
+        class SpyPool(mc.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 created.append(kwargs.get("max_workers", args[0] if args else None))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(frames_module, "ThreadPoolExecutor", SpyPool)
+        # frames render through the Monte Carlo task runner and its pool
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", SpyPool)
         render_case("thermal-noisy", workers=2)  # 23 frames fit one task
         assert created == []
         monkeypatch.setattr(frames_module, "_TASK_PIXELS", 3 * CASE_PIXELS)
@@ -189,6 +199,10 @@ class TestRenderTasks:
         assert created == []
         render_case("thermal-noisy", workers=2)
         assert created == [2]
+        # two tasks: a pool of two threads, not four
+        monkeypatch.setattr(frames_module, "_TASK_PIXELS", 12 * CASE_PIXELS)
+        render_case("thermal-noisy", workers=4)
+        assert created == [2, 2]
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(frames_module, "_TASK_PIXELS", CASE_PIXELS)

@@ -145,6 +145,38 @@ class TestDeterminism:
         estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=4)
         assert created == [2, 2]
 
+    @pytest.mark.parametrize("estimate", ["point", "scan"])
+    def test_no_thread_outlives_a_failed_call(self, monkeypatch, estimate):
+        import threading
+
+        import icfsim.montecarlo as mc
+        calls = []
+
+        def failing_sample_batch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("sampling failed")
+            return sample_batch(*args, **kwargs)
+
+        pattern = ScanPattern(order=3, scheme="symmetric_opposite",
+                              grid=np.linspace(0, 2 * np.pi, 5))
+
+        def run():
+            # 100 batches of 2000 samples make 13 tasks of at most 8 batches
+            if estimate == "point":
+                return estimate_icf(THERMAL, [0.4, 0.0, -0.4], 200_000, seed=3, workers=2)
+            return estimate_scan(THERMAL, pattern, 200_000, seed=3, workers=2)
+
+        before = set(threading.enumerate())
+        run()
+        assert set(threading.enumerate()) == before
+        monkeypatch.setattr(mc, "sample_batch", failing_sample_batch)
+        with pytest.raises(RuntimeError, match="sampling failed"):
+            run()
+        assert set(threading.enumerate()) == before
+        # the failure cancels the tasks that have not started
+        assert 3 <= len(calls) < 50
+
     def test_point_estimate_independent_of_grid(self):
         # every point contracts the same per-batch draws, and every sum over
         # them runs in a fixed order, so a point's value and stderr do not
@@ -446,21 +478,6 @@ class TestWorkBuffers:
                 for workers in (1, 2):
                     assert (pinned_point(case, 400_000, 10, workers)
                             == PINNED_POINTS[(case, 400_000, 10)])
-
-    @pytest.mark.parametrize("kernel", ["_task_sums", "_power_sums"])
-    def test_trig_scratch_does_not_grow_with_batch_size(self, kernel):
-        import threading
-
-        import icfsim.montecarlo as mc
-        from icfsim.sources import TRIG_CHUNK, TRIG_SCRATCH
-        work = threading.local()
-        first = 4 if kernel == "_power_sums" else np.zeros(4)
-        seeds = np.random.SeedSequence(3).spawn(2)
-        for size in (10, 3 * TRIG_CHUNK + 1, 50_000):
-            getattr(mc, kernel)(THERMAL, first, seeds, size, work=work)
-            key, arrays = work.trig
-            assert key == (TRIG_SCRATCH, (TRIG_CHUNK,))
-            assert all(a.shape == (TRIG_CHUNK,) for a in arrays)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page-fault counts are read on Linux")

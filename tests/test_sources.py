@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from icfsim.errors import (
     NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
-from icfsim.sources import TRIG_CHUNK, cos_sin, detector_intensities
+from icfsim.sources import TRIG_CHUNK, TRIG_SCRATCH, cos_sin, detector_intensities
 
 
 def exponential_moment(k):
@@ -241,6 +242,18 @@ class TestCosSin:
         cos = np.empty_like(theta)
         cos_sin(theta, cos, theta)
         assert np.array_equal(cos, c) and np.array_equal(theta, s)
+
+    @pytest.mark.parametrize("size", [10, 3 * TRIG_CHUNK + 1, 400_000])
+    def test_scratch_does_not_grow_with_size(self, size):
+        theta = np.random.default_rng(24).random(size) * 2 * np.pi
+        cos, sin = np.empty_like(theta), np.empty_like(theta)
+        tracemalloc.start()
+        try:
+            cos_sin(theta, cos, sin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= TRIG_SCRATCH * TRIG_CHUNK * 8 + 16 * 1024
 
 
 class TestSerialization:
