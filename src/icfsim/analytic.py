@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AllZeroPattern, EmptyPattern, UnsupportedOrder
+from .errors import AllZeroPattern, EmptyPattern, NonfinitePhase, UnsupportedOrder
 from .sources import SourceModel, coherence_envelope, moment
 
 # Each named scheme's detector phases per order it serves, as multiples of
@@ -106,6 +106,10 @@ class ScanPattern:
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0:
             raise EmptyPattern("scan grid is empty")
+        if not np.isfinite(grid).all():
+            raise NonfinitePhase("scan grid values must be finite")
+        if self.offset is not None and not math.isfinite(self.offset):
+            raise NonfinitePhase(f"offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "grid", grid)
         if self.scheme == "custom":
             if self.deltas is None:

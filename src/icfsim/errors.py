@@ -61,6 +61,10 @@ class AllZeroPattern(IcfSimError):
     pass
 
 
+class NonfinitePhase(IcfSimError, ValueError):
+    pass
+
+
 class BadBatching(IcfSimError):
     pass
 

@@ -231,8 +231,8 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     peak_level = optics.peak_level
     if peak_level is None:
         peak_level = _default_peak_level(model, optics.bit_depth)
-    if not peak_level > 0:
-        raise BadOptics(f"peak_level must be positive, got {peak_level!r}")
+    if not 0 < peak_level < math.inf:
+        raise BadOptics(f"peak_level must be positive and finite, got {peak_level!r}")
     if not optics.noise.gaussian_sigma >= 0:
         raise BadOptics(f"gaussian_sigma must be >= 0, got {optics.noise.gaussian_sigma!r}")
     if optics.envelope_fwhm_px is not None and not optics.envelope_fwhm_px > 0:
@@ -280,8 +280,11 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         else:
             img = out[start:stop] if vmax is None else np.empty((stop - start, height, width))
             for frame, row, rng in zip(img, rows, rngs):
-                frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
-                    if optics.noise.poisson else row
+                try:
+                    frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
+                        if optics.noise.poisson else row
+                except ValueError as exc:  # a level too large for numpy's Poisson
+                    raise BadOptics(f"peak_level {peak_level!r}: {exc}") from exc
                 if sigma > 0:
                     frame += rng.normal(0.0, sigma, (height, width))
         if vmax is None:

@@ -16,14 +16,15 @@ value and stderr do not depend on the rest of the grid, and the errors of a
 scan's points are correlated.  A call's work is one list of tasks, runs of
 consecutive batches sized from the batch size alone; ``run_tasks``, which
 renders frames too, runs them on one thread pool (or inline) and merges
-them in order: results do not depend on workers.  Each thread reuses its
-work buffers from task to task within a call, so batches do not fault in
-fresh memory; the buffers go when the call returns.
+them in order: results do not depend on workers.  Batches of fewer than
+``2 * _TASK_SAMPLES`` samples run inline, as their numpy calls are too
+short to overlap on two threads.  Each thread reuses its work buffers from
+task to task within a call, so batches do not fault in fresh memory; the
+buffers go when the call returns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,24 +79,22 @@ def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
     return arrays
 
 
-def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], lock, ia, ib, theta):
+def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], ia, ib, theta):
     """Sample consecutive batches into (ia, ib, theta), one row per batch."""
-    with lock:
-        for k, seed in enumerate(seeds):
-            sample_batch(model, np.random.default_rng(seed), ia.shape[1],
-                         out=(ia[k], ib[k], theta[k]))
+    for k, seed in enumerate(seeds):
+        sample_batch(model, np.random.default_rng(seed), ia.shape[1],
+                     out=(ia[k], ib[k], theta[k]))
 
 
 def _task_sums(model: SourceModel, delta: np.ndarray,
-               seeds: list[np.random.SeedSequence], size: int,
-               lock=contextlib.nullcontext(), work=None):
+               seeds: list[np.random.SeedSequence], size: int, work=None):
     """Per-batch sums of the detector-intensity products, shape (batches,),
     and of each detector's intensity, shape (batches, detectors), where batch
     k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
     batch's own row, so it does not depend on the run of batches.
     """
     ia, ib, theta, amp, row, prod = _workspace(work, 6, (len(seeds), size))
-    _draw(model, seeds, lock, ia, ib, theta)
+    _draw(model, seeds, ia, ib, theta)
     prod.fill(1.0)
     sums = np.empty((len(seeds), len(delta)))
     for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row)):
@@ -112,15 +111,14 @@ def _times(a, b, out):
 
 
 def _power_sums(model: SourceModel, order: int,
-                seeds: list[np.random.SeedSequence], size: int,
-                lock=contextlib.nullcontext(), work=None):
+                seeds: list[np.random.SeedSequence], size: int, work=None):
     """Per-batch sums, drawn as in ``_task_sums``, of the monomials
     base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
     ``field_terms``, shape (batches, monomials), and of base, c and s.
     """
     ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
                                                              (len(seeds), size))
-    _draw(model, seeds, lock, ia, ib, theta)
+    _draw(model, seeds, ia, ib, theta)
     base, c, s = field_terms(ia, ib, theta, term)
     base_pow = [None, base]  # None: base^0
     for p in higher:
@@ -218,7 +216,7 @@ def run_tasks(fn, tasks, workers: int) -> list:
 
 def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
                 workers: int) -> list[np.ndarray]:
-    """Run ``task_sums(seeds, size, lock, work)`` over the batch seeds spawned from
+    """Run ``task_sums(seeds, size, work)`` over the batch seeds spawned from
     ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
     batches, through ``run_tasks``, and join the per-batch rows it returns
     in batch order.
@@ -227,19 +225,22 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     seeds = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed).spawn(n_batches)
     per_task = max(1, _TASK_SAMPLES // batch_size)
     tasks = [seeds[k:k + per_task] for k in range(0, len(seeds), per_task)]
-
-    # Sampling holds the interpreter lock for most of its time and releases
-    # it for many short draws, so two threads sampling at once mostly wait
-    # for each other; one samples while the others reduce their samples.
-    # Each thread's work arrays live in ``work`` for this call only.
-    run = partial(task_sums, size=batch_size, lock=threading.Lock(), work=threading.local())
+    # Below this size a task's numpy calls take a few microseconds each, too
+    # short to overlap on two threads, so a second thread only adds waiting.
+    if batch_size < 2 * _TASK_SAMPLES:
+        workers = min(workers, 1)
+    run = partial(task_sums, size=batch_size, work=threading.local())
     return [np.concatenate(parts) for parts in zip(*run_tasks(run, tasks, workers))]
 
 
 def estimate_icf(model: SourceModel, delta, n_samples: int,
                  n_batches: int = 100, seed: int | None = None,
                  workers: int = 1) -> IcfEstimate:
-    """Estimate the normalized correlation at one detector-phase tuple."""
+    """Estimate the normalized correlation at one detector-phase tuple.
+
+    ``workers`` is the most threads used; batches of fewer than
+    ``2 * _TASK_SAMPLES`` samples run on one.
+    """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     prods, sums = _batch_sums(partial(_task_sums, model, delta), n_samples, n_batches,
                               seed, workers)
@@ -255,6 +256,7 @@ def estimate_scan(model: SourceModel, pattern: ScanPattern, n_samples: int,
     Every point shares the draws of the batch seeds ``estimate_icf`` uses,
     so its value equals ``estimate_icf`` there to rounding, whatever the
     rest of the grid; the errors of different points are correlated.
+    ``workers`` is the most threads used, as in ``estimate_icf``.
     """
     deltas = pattern.delta_array()
     powers, linear = _batch_sums(partial(_power_sums, model, deltas.shape[1]),

@@ -22,6 +22,7 @@ from icfsim.errors import (
     AllZeroPattern,
     EmptyPattern,
     MissingMoment,
+    NonfinitePhase,
     UnsupportedOrder,
 )
 
@@ -171,6 +172,18 @@ class TestInvalidScans:
     def test_scan_pattern(self, order, scheme, grid, deltas, error):
         with pytest.raises(error):
             ScanPattern(order=order, scheme=scheme, grid=grid, deltas=deltas)
+
+    # a non-finite offset or grid value gave nan values and RuntimeWarnings
+    @pytest.mark.parametrize("scheme, grid, offset", [
+        ("single_detector", GRID, math.nan),
+        ("single_detector", GRID, math.inf),
+        ("single_detector", GRID, -math.inf),
+        ("symmetric_opposite", np.array([0.0, math.nan, 1.0]), None),
+        ("single_detector", np.array([0.0, 1.0, math.inf]), 0.5),
+    ])
+    def test_non_finite_scan(self, scheme, grid, offset):
+        with pytest.raises(NonfinitePhase):
+            ScanPattern(order=3, scheme=scheme, grid=grid, offset=offset)
 
     @pytest.mark.parametrize("order, scheme, error", [
         (3, "bogus", ValueError), (3, "custom", ValueError),

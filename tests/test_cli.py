@@ -150,6 +150,20 @@ class TestMc:
         assert err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["mc", "--samples", "1000", "--batches", "10"],
+                                      ["analytic"]])
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_non_finite_offset_exit_1(self, tmp_path, capsys, argv, offset):
+        # mc printed visibility = nan and a verdict at z = +inf, and exited 0;
+        # analytic printed RuntimeWarnings
+        out = tmp_path / "p.csv"
+        code, text, err = run(capsys, *argv, "--scheme", "single-detector",
+                              "--offset", offset, "--out", str(out))
+        assert code == 1
+        assert text == ""
+        assert err == f"error: offset must be finite, got {offset}\n"
+        assert not out.exists()
+
 
 class TestLimits:
     def test_six_row_table(self, capsys):
@@ -339,6 +353,19 @@ class TestFramesCli:
                               *flags, "--out", str(stack_dir))
         assert code == 1
         assert err.startswith("error: ") and "bit depth of 1-16" in err
+        assert text == "" and not stack_dir.exists()
+
+    @pytest.mark.parametrize("level, message", [
+        ("inf", "peak_level must be positive and finite, got inf"),
+        ("1e300", "peak_level 1e+300: lam value too large"),
+    ])
+    def test_huge_peak_level_exit_1(self, tmp_path, capsys, level, message):
+        # both ended in numpy's ValueError and a traceback
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--frames", "3", "--peak-level", level,
+                              "--out", str(stack_dir))
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert text == "" and not stack_dir.exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -100,8 +100,11 @@ class TestSynth:
     def test_bad_optics(self):
         with pytest.raises(BadOptics):
             synth_frames(COHERENT, FrameOptics(fringe_period_px=2.0), n=1, seed=1)
-        with pytest.raises(BadOptics):
-            synth_frames(COHERENT, FrameOptics(peak_level=0.0), n=1, seed=1)
+        # a level of inf, or one too large for numpy's Poisson, ended in
+        # numpy's ValueError
+        for level in (0.0, -1.0, math.nan, math.inf, 1e300):
+            with pytest.raises(BadOptics):
+                synth_frames(COHERENT, FrameOptics(peak_level=level), n=1, seed=1)
         with pytest.raises(ValueError):
             synth_frames(COHERENT, n=0, seed=1)
         # a negative read noise was recorded and rendered as none, a zero

@@ -20,6 +20,8 @@ from icfsim.sources import sample_batch
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
 GRID25 = np.linspace(0.0, 2.0 * np.pi, 25)
+# the smallest batch size that runs on more than one thread
+THREADED = 32_768
 
 
 class TestEstimateIcf:
@@ -57,12 +59,14 @@ class TestEstimateIcf:
     def test_workers_below_one_rejected(self, workers):
         pattern = ScanPattern(order=3, scheme="symmetric_opposite",
                               grid=np.linspace(0, 2 * np.pi, 3))
-        with pytest.raises(ValueError, match="workers"):
-            estimate_icf(COHERENT, [0.0, 0.0], 1000, n_batches=10, seed=1,
-                         workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            estimate_scan(COHERENT, pattern, 1000, n_batches=10, seed=1,
-                          workers=workers)
+        # small batches run inline, but the workers check still fires
+        for batch_size in (100, THREADED):
+            with pytest.raises(ValueError, match="workers"):
+                estimate_icf(COHERENT, [0.0, 0.0], 10 * batch_size, n_batches=10, seed=1,
+                             workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                estimate_scan(COHERENT, pattern, 10 * batch_size, n_batches=10, seed=1,
+                              workers=workers)
 
     @pytest.mark.parametrize("model,delta", [
         (THERMAL, [0.9, 0.0, -0.9]),
@@ -93,18 +97,23 @@ class TestDeterminism:
     def test_worker_count_does_not_change_values(self):
         pattern = ScanPattern(order=3, scheme="symmetric_opposite",
                               grid=np.linspace(0, 2 * np.pi, 7))
-        serial = estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9)
-        threaded = estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9,
-                                 workers=4)
-        assert np.array_equal(serial.values, threaded.values)
-        assert np.array_equal(serial.stderrs, threaded.stderrs)
+        # batches of 1000 samples run inline at any worker count; batches at
+        # the threading size run one per task on a pool
+        for batch_size in (1000, THREADED):
+            serial = estimate_scan(THERMAL, pattern, 20 * batch_size, n_batches=20, seed=9)
+            threaded = estimate_scan(THERMAL, pattern, 20 * batch_size, n_batches=20, seed=9,
+                                     workers=4)
+            assert np.array_equal(serial.values, threaded.values)
+            assert np.array_equal(serial.stderrs, threaded.stderrs)
 
     def test_point_estimate_worker_count_independent(self):
-        # 100 batches of 1000 samples make several tasks, the last one short
+        # 100 batches of 1000 samples make several tasks, the last one short;
+        # 20 batches at the threading size make 20 tasks on a pool
         delta = [0.5, 0.0, -0.5, 1.1]
-        serial = estimate_icf(THERMAL, delta, 100_000, seed=12)
-        threaded = estimate_icf(THERMAL, delta, 100_000, seed=12, workers=2)
-        assert serial == threaded
+        for n_samples, n_batches in ((100_000, 100), (20 * THREADED, 20)):
+            serial = estimate_icf(THERMAL, delta, n_samples, n_batches, seed=12)
+            threaded = estimate_icf(THERMAL, delta, n_samples, n_batches, seed=12, workers=2)
+            assert serial == threaded
 
     @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
     def test_batch_sums_independent_of_task_split(self, model):
@@ -133,17 +142,23 @@ class TestDeterminism:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", SpyPool)
         pattern = ScanPattern(order=3, scheme="symmetric_opposite",
                               grid=np.linspace(0, 2 * np.pi, 7))
-        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9)
+        # 20 batches at the threading size make 20 tasks
+        estimate_scan(THERMAL, pattern, 20 * THREADED, n_batches=20, seed=9)
         assert created == []
-        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=2)
-        assert created == [2]
-        # 10 batches of 200 samples make one task, which runs inline
-        estimate_scan(THERMAL, pattern, 2_000, n_batches=10, seed=9, workers=2)
-        estimate_icf(THERMAL, [0.4, 0.0], 2_000, n_batches=10, seed=9, workers=2)
-        assert created == [2]
-        # two tasks: a pool of two threads, not four
-        estimate_scan(THERMAL, pattern, 20_000, n_batches=20, seed=9, workers=4)
+        estimate_scan(THERMAL, pattern, 20 * THREADED, n_batches=20, seed=9, workers=2)
+        estimate_icf(THERMAL, [0.4, 0.0], 20 * THREADED, n_batches=20, seed=9, workers=2)
         assert created == [2, 2]
+        # smaller batches run inline: the icfsim mc defaults (100 batches of
+        # 1000 samples, 7 tasks), batches just below the threading size,
+        # and a one-task call
+        estimate_scan(THERMAL, ScanPattern(order=3, scheme="symmetric_opposite", grid=GRID25),
+                      100_000, n_batches=100, seed=9, workers=2)
+        estimate_scan(THERMAL, pattern, 10 * (THREADED - 2), n_batches=10, seed=9, workers=2)
+        estimate_icf(THERMAL, [0.4, 0.0], 2_000, n_batches=10, seed=9, workers=2)
+        assert created == [2, 2]
+        # workers is an upper bound: two tasks get a pool of two threads, not four
+        assert mc.run_tasks(abs, [-1, -2], 4) == [1, 2]
+        assert created == [2, 2, 2]
 
     @pytest.mark.parametrize("estimate", ["point", "scan"])
     def test_no_thread_outlives_a_failed_call(self, monkeypatch, estimate):
@@ -161,21 +176,27 @@ class TestDeterminism:
         pattern = ScanPattern(order=3, scheme="symmetric_opposite",
                               grid=np.linspace(0, 2 * np.pi, 5))
 
-        def run():
-            # 100 batches of 2000 samples make 13 tasks of at most 8 batches
+        def run(n_samples, n_batches):
             if estimate == "point":
-                return estimate_icf(THERMAL, [0.4, 0.0, -0.4], 200_000, seed=3, workers=2)
-            return estimate_scan(THERMAL, pattern, 200_000, seed=3, workers=2)
+                return estimate_icf(THERMAL, [0.4, 0.0, -0.4], n_samples, n_batches,
+                                    seed=3, workers=2)
+            return estimate_scan(THERMAL, pattern, n_samples, n_batches, seed=3, workers=2)
 
         before = set(threading.enumerate())
-        run()
-        assert set(threading.enumerate()) == before
-        monkeypatch.setattr(mc, "sample_batch", failing_sample_batch)
-        with pytest.raises(RuntimeError, match="sampling failed"):
-            run()
-        assert set(threading.enumerate()) == before
-        # the failure cancels the tasks that have not started
-        assert 3 <= len(calls) < 50
+        # batches of 2000 samples make 13 tasks of at most 8 batches, run
+        # inline; batches at the threading size make one task each, run on
+        # a pool
+        for n_samples, n_batches in ((200_000, 100), (40 * THREADED, 40)):
+            run(n_samples, n_batches)
+            assert set(threading.enumerate()) == before
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "sample_batch", failing_sample_batch)
+                with pytest.raises(RuntimeError, match="sampling failed"):
+                    run(n_samples, n_batches)
+            assert set(threading.enumerate()) == before
+            # the failure cancels the tasks that have not started
+            assert 3 <= len(calls) < n_batches // 2
 
     def test_point_estimate_independent_of_grid(self):
         # every point contracts the same per-batch draws, and every sum over
