@@ -42,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from .constants import ORDERS
 from .errors import AllZeroPattern, EmptyPattern, NonfinitePhase, UnsupportedOrder
 from .sources import SourceModel, coherence_envelope, moment
 
@@ -76,7 +77,7 @@ class PhaseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(self.delta))
-        if not 2 <= len(self.delta) <= 4:
+        if len(self.delta) not in ORDERS:
             raise UnsupportedOrder(len(self.delta))
 
     @property
@@ -101,7 +102,7 @@ class ScanPattern:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.order not in _SCHEME_STEPS.get(self.scheme, (2, 3, 4)):
+        if self.order not in _SCHEME_STEPS.get(self.scheme, ORDERS):
             raise UnsupportedOrder(self.order)
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0:
@@ -119,6 +120,8 @@ class ScanPattern:
                 raise ValueError(
                     f"deltas shape {deltas.shape} does not match "
                     f"(grid, order) = ({grid.size}, {self.order})")
+            if not np.isfinite(deltas).all():
+                raise NonfinitePhase("custom deltas must be finite")
             object.__setattr__(self, "deltas", deltas)
 
     def delta_array(self) -> np.ndarray:
@@ -244,7 +247,7 @@ def closed_form(moments, delta, env=None):
     """
     delta = np.asarray(delta)
     n = delta.shape[-1]
-    if not 2 <= n <= 4:
+    if n not in ORDERS:
         raise UnsupportedOrder(n)
     d = np.moveaxis(delta, -1, 0)
     e = (1.0,) * n if env is None else np.moveaxis(np.asarray(env), -1, 0)

@@ -32,7 +32,7 @@ from .analytic import (
     classical_limit,
     scan,
 )
-from .constants import DEFAULT_SEED
+from .constants import DEFAULT_SEED, ORDERS
 from .errors import IcfSimError, ReferenceOutOfRange
 from .expansion import verify_closed_form
 # load_frames is not called here; it stays importable from this module
@@ -47,6 +47,7 @@ from .frames import (
     g3_profile,
     g4_profile,
     mean_profile,
+    pixel_format,
     roi_average,
     synth_frames,
 )
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coherence-width", type=float, dest="coherence_width",
                        help="Gaussian coherence envelope width (rad)")
         p.set_defaults(moments=None)  # a custom model's table: config files only
-        p.add_argument("--order", type=int, choices=(2, 3, 4), default=3)
+        p.add_argument("--order", type=int, choices=ORDERS, default=3)
         p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
         p.add_argument("--grid-points", type=int, dest="grid_points", default=grid_points)
         p.add_argument("--offset", type=float, default=math.pi / 2,
@@ -336,6 +337,16 @@ def _report_scan(opts: dict, target: tuple[Path, str], pattern: InterferencePatt
         print(f"wrote {opts['plot']}")
 
 
+def _warn_saturated(bit_depth: int, saturated: int, pixels: int, frames=None) -> None:
+    """Warn of pixels at full scale, in a stack of ``frames`` = (saturated, total) or an ROI."""
+    if saturated:
+        where = "ROI pixels" if frames is None else "pixels"
+        within = "" if frames is None else f" in {frames[0]} of {frames[1]} frames"
+        print(f"warning: {saturated} of {pixels} {where} ({saturated / pixels:.2%}){within} "
+              f"are saturated at {pixel_format(bit_depth)[1]}; the correlation visibilities "
+              f"are biased low", file=sys.stderr)
+
+
 def cmd_analytic(opts: dict) -> int:
     target = _output_path(opts["out"], opts["format"])
     _report_scan(opts, target, scan(_model(opts), _scan_pattern(opts)))
@@ -358,7 +369,7 @@ def cmd_limits(opts: dict) -> int:
         raise IcfSimError(f"--format {opts['format']} needs --out: the table is printed as text")
     target = _output_path(opts["out"], opts["format"]) if opts["out"] else None
     rows = [(order, kind, classical_limit(order, kind))
-            for kind in ("coherent", "thermal") for order in (2, 3, 4)]
+            for kind in ("coherent", "thermal") for order in ORDERS]
     print(f"{'order':>5}  {'kind':<8}  {'limit':>10}  {'percent':>8}")
     for order, kind, value in rows:
         print(f"{order:>5}  {kind:<8}  {value:>10.8f}  {100 * value:>7.2f}%")
@@ -380,7 +391,7 @@ def cmd_limits(opts: dict) -> int:
 def cmd_verify(opts: dict) -> int:
     tolerance = 1e-10
     status = 0
-    for order in (2, 3, 4):
+    for order in ORDERS:
         dev = verify_closed_form(order, trials=opts["trials"], seed=opts["seed"])
         ok = dev < tolerance
         status |= 0 if ok else 1
@@ -402,14 +413,13 @@ def cmd_synth(opts: dict) -> int:
         raise IcfSimError(f"{' and '.join('--mod-' + key for key in drive)} "
                           f"need --phase-modulation harmonic")
     model = SourceModel(opts["kind"])
-    bit_depth = opts["bit_depth"] or None
     optics = FrameOptics(
         fringe_period_px=opts["period_px"],
         envelope_fwhm_px=opts["envelope_fwhm_px"],
         peak_level=opts["peak_level"],
         noise=NoiseModel(gaussian_sigma=opts["noise_sigma"],
                          poisson=opts["poisson"]),
-        bit_depth=bit_depth,
+        bit_depth=opts["bit_depth"] or None,
         frame_width=opts["frame_width"],
         frame_height=opts["frame_height"],
     )
@@ -417,13 +427,8 @@ def cmd_synth(opts: dict) -> int:
     stack = synth_frames(model, optics, n=opts["frames"], seed=opts["seed"],
                          modulation=modulation, workers=_workers())
     manifest = save_frames(stack, opts["out"], fmt=opts["format"])
-    saturated = stack.metadata["saturated_pixels"]
-    if saturated:
-        pixels = stack.frames.size
-        print(f"warning: {saturated} of {pixels} pixels ({saturated / pixels:.2%}) in "
-              f"{stack.metadata['saturated_frames']} of {stack.n_frames} frames are "
-              f"saturated at {2 ** bit_depth - 1}; the correlation visibilities are "
-              f"biased low", file=sys.stderr)
+    _warn_saturated(stack.metadata["bit_depth"], stack.metadata["saturated_pixels"],
+                    stack.frames.size, (stack.metadata["saturated_frames"], stack.n_frames))
     print(f"wrote {stack.n_frames} {opts['format']} frames and {manifest}")
     return 0
 
@@ -436,13 +441,8 @@ def cmd_process(opts: dict) -> int:
     roi = RoiSpec(x0=x0, y0=y0, width=w, height=h,
                   reference_column=ref_col if ref_col is not None else w // 2)
     series = roi_average(reader, roi)
-    if series.saturated_pixels:
-        pixels = series.n_frames * roi.width * roi.height
-        full_scale = 2 ** reader.metadata["bit_depth"] - 1
-        print(f"warning: {series.saturated_pixels} of {pixels} ROI pixels "
-              f"({series.saturated_pixels / pixels:.2%}) are saturated at "
-              f"{full_scale}; the correlation visibilities are biased low",
-              file=sys.stderr)
+    _warn_saturated(reader.metadata.get("bit_depth"), series.saturated_pixels,
+                    series.n_frames * roi.width * roi.height)
     profile = mean_profile(series)
 
     xs = (np.arange(series.width) - series.reference_column) * series.pixel_to_phase

@@ -34,7 +34,7 @@ import numpy as np
 from .analytic import closed_form
 # Not called here; perfbench's tracer wraps the closed forms under these names.
 from .analytic import g2_point, g3_point, g4_point  # noqa: F401
-from .constants import DEFAULT_SEED
+from .constants import DEFAULT_SEED, ORDERS
 from .errors import BadTrialCount, OrderTooLarge, UnsupportedOrder
 from .sources import SourceModel, coherence_envelope, moment
 
@@ -173,7 +173,7 @@ def verify_closed_form(order: int, trials: int, seed: int | None = None) -> floa
     Trials run in vectorized chunks that draw the same numbers, in the same
     order, as one trial at a time.
     """
-    if order not in (2, 3, 4):
+    if order not in ORDERS:
         raise UnsupportedOrder(order)
     if trials < 1:
         raise BadTrialCount(f"trials must be >= 1, got {trials}")

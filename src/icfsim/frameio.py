@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadOptics, InconsistentDimensions, MalformedFile
-from .frames import FrameStack, check_pixels, estimate_fringe_period
+from .frames import FrameStack, check_period, check_pixels, estimate_fringe_period, pixel_format
 
 MANIFEST_NAME = "manifest.json"
 _WHITESPACE = b" \t\r\n"
@@ -188,12 +188,11 @@ class FrameReader:
         if not names:
             raise MalformedFile(manifest_path, "manifest lists no frames")
         self.metadata = manifest.get("metadata") or {}
-        bit_depth = self.metadata.get("bit_depth")
-        if bit_depth is not None and not (isinstance(bit_depth, int) and 1 <= bit_depth <= 32):
-            raise MalformedFile(manifest_path, f"bit_depth must be an integer in 1..32, "
-                                               f"got {bit_depth!r}")
-        self._cast = None if bit_depth is None else (
-            np.uint16 if bit_depth <= 16 else np.uint32)
+        try:
+            dtype, full_scale = pixel_format(self.metadata.get("bit_depth"))
+        except BadOptics as exc:
+            raise MalformedFile(manifest_path, str(exc)) from None
+        self._cast = None if full_scale is None else dtype
         self.paths = [manifest_path.parent / name for name in names]
         self._first = self._read(self.paths[0])
         self.shape = self._first.shape
@@ -202,8 +201,7 @@ class FrameReader:
         if period is None:
             period = estimate_fringe_period(self._first)
         self.fringe_period_px = float(period)
-        if not self.fringe_period_px > 0:
-            raise BadOptics(f"fringe_period_px must be positive, got {self.fringe_period_px!r}")
+        check_period(self.fringe_period_px)
 
     @property
     def n_frames(self) -> int:

@@ -103,6 +103,24 @@ class FrameOptics:
     frame_height: int = 50
 
 
+def pixel_format(bit_depth: int | None) -> tuple[type, int | None]:
+    """Frame dtype and full-scale count 2^bits - 1 of a camera bit depth, or
+    float64 and None for None; BadOptics unless an integer (not a bool) in 1..32."""
+    if bit_depth is None:
+        return np.float64, None
+    integral = isinstance(bit_depth, (int, np.integer)) and not isinstance(bit_depth, bool)
+    if not (integral and 1 <= bit_depth <= 32):
+        raise BadOptics(f"bit_depth must be an integer in 1..32, got {bit_depth!r}")
+    return (np.uint16 if bit_depth <= 16 else np.uint32), 2 ** int(bit_depth) - 1
+
+
+def check_period(period_px: float, minimum: float = 0.0) -> None:
+    """Raise BadOptics unless ``period_px`` is finite, positive and >= ``minimum``."""
+    if not (0 < period_px < math.inf and period_px >= minimum):
+        floor = f", at least {minimum:g} px (Nyquist margin)" if minimum else ""
+        raise BadOptics(f"fringe_period_px must be positive and finite{floor}, got {period_px!r}")
+
+
 def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
     """Raise ValueError unless the pixels are finite, nonnegative and, under
     a bit depth, integral and inside its range.
@@ -115,7 +133,7 @@ def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
     if frames.min() < 0:
         raise ValueError("pixel values must be nonnegative")
     if bit_depth is not None:
-        if frames.max() >= 2 ** bit_depth:
+        if frames.max() > pixel_format(bit_depth)[1]:
             raise ValueError(f"pixel values exceed the {bit_depth}-bit range")
         if not np.issubdtype(frames.dtype, np.integer):
             if np.any(frames != np.rint(frames)):
@@ -134,8 +152,7 @@ class FrameStack:
         frames = np.asarray(self.frames)
         if frames.ndim != 3 or frames.shape[0] < 1:
             raise ValueError(f"frames must be a (n, height, width) array, got shape {frames.shape}")
-        if not self.fringe_period_px > 0:
-            raise BadOptics(f"fringe_period_px must be positive, got {self.fringe_period_px!r}")
+        check_period(self.fringe_period_px)
         check_pixels(frames, self.metadata.get("bit_depth"))
         object.__setattr__(self, "frames", frames)
 
@@ -181,7 +198,7 @@ class ProcessedSeries:
         return self.profiles.shape[1]
 
 
-def _default_peak_level(model: SourceModel, bit_depth: int | None) -> float:
+def _default_peak_level(model: SourceModel, full_scale: int | None) -> float:
     """Peak level used when the optics leave it unset.
 
     A noise-free thermal pixel is exponential with mean peak_level / 2 (the
@@ -192,8 +209,8 @@ def _default_peak_level(model: SourceModel, bit_depth: int | None) -> float:
     bias the correlations.  Coherent pixels never exceed peak_level, and
     without a bit depth nothing clips: both keep 30000.
     """
-    if model.kind == "thermal" and bit_depth is not None:
-        return 2.0 * (2 ** bit_depth - 1) / math.log(1e7)
+    if model.kind == "thermal" and full_scale is not None:
+        return 2.0 * full_scale / math.log(1e7)
     return 30000.0
 
 
@@ -223,18 +240,17 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     optics = optics or FrameOptics()
     if n < 1:
         raise ValueError(f"need at least one frame, got n = {n}")
-    if not optics.fringe_period_px >= 4:
-        raise BadOptics(
-            f"fringe_period_px must be >= 4 px (Nyquist margin), got {optics.fringe_period_px!r}")
-    if optics.bit_depth is not None and not 1 <= optics.bit_depth <= 32:
-        raise BadOptics(f"bit_depth must be in 1..32, got {optics.bit_depth!r}")
+    check_period(optics.fringe_period_px, minimum=4)
+    dtype, full_scale = pixel_format(optics.bit_depth)
     peak_level = optics.peak_level
     if peak_level is None:
-        peak_level = _default_peak_level(model, optics.bit_depth)
+        peak_level = _default_peak_level(model, full_scale)
     if not 0 < peak_level < math.inf:
         raise BadOptics(f"peak_level must be positive and finite, got {peak_level!r}")
     if not optics.noise.gaussian_sigma >= 0:
         raise BadOptics(f"gaussian_sigma must be >= 0, got {optics.noise.gaussian_sigma!r}")
+    if optics.noise.gaussian_sigma == math.inf:
+        raise BadOptics("gaussian_sigma must be finite, got inf")
     if optics.envelope_fwhm_px is not None and not optics.envelope_fwhm_px > 0:
         raise BadOptics(f"envelope_fwhm_px must be positive, got {optics.envelope_fwhm_px!r}")
 
@@ -245,20 +261,17 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     sigma = optics.noise.gaussian_sigma
     noisy = optics.noise.poisson or sigma > 0
 
-    if optics.bit_depth is None:
-        dtype = np.float64
-        vmax = None
-    else:
-        dtype = np.uint16 if optics.bit_depth <= 16 else np.uint32
-        vmax = float(2 ** optics.bit_depth - 1)
-
     out = np.empty((n, height, width), dtype=dtype)
     root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
     frame_seeds = root.spawn(n)
 
     if modulation is not None:
-        thetas = modulation.amplitude * np.sin(
-            2.0 * np.pi * modulation.frequency * np.arange(n))
+        with np.errstate(all="ignore"):  # overflow and nan are rejected below
+            thetas = modulation.amplitude * np.sin(
+                2.0 * np.pi * modulation.frequency * np.arange(n))
+        if not np.isfinite(thetas).all():
+            raise BadOptics(f"harmonic drive amplitude {modulation.amplitude!r} and frequency "
+                            f"{modulation.frequency!r} give non-finite phases")
     else:
         thetas = None
 
@@ -278,7 +291,7 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
             # and broadcast them down the frames
             img = rows[:, None, :]
         else:
-            img = out[start:stop] if vmax is None else np.empty((stop - start, height, width))
+            img = out[start:stop] if full_scale is None else np.empty((stop - start, height, width))
             for frame, row, rng in zip(img, rows, rngs):
                 try:
                     frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
@@ -287,12 +300,12 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
                     raise BadOptics(f"peak_level {peak_level!r}: {exc}") from exc
                 if sigma > 0:
                     frame += rng.normal(0.0, sigma, (height, width))
-        if vmax is None:
+        if full_scale is None:
             np.maximum(img, 0.0, out=out[start:stop])
             return 0, 0
-        np.clip(img, 0.0, vmax, out=img)
+        np.clip(img, 0.0, full_scale, out=img)
         out[start:stop] = np.rint(img, out=img)
-        full = out[start:stop] == vmax
+        full = out[start:stop] == full_scale
         return int(np.count_nonzero(full)), int(np.count_nonzero(full.any(axis=(1, 2))))
 
     counts = run_tasks(render, range(0, n, per_task), workers)
@@ -314,8 +327,11 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         "saturated_pixels": sum(p for p, _ in counts),
         "saturated_frames": sum(f for _, f in counts),
     }
-    return FrameStack(frames=out, fringe_period_px=optics.fringe_period_px,
-                      metadata=metadata)
+    try:
+        return FrameStack(frames=out, fringe_period_px=optics.fringe_period_px,
+                          metadata=metadata)
+    except ValueError as exc:  # float pixels that came out non-finite
+        raise BadOptics(f"rendered frames rejected: {exc}") from None
 
 
 def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
@@ -335,8 +351,7 @@ def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
     if not 0 <= roi.reference_column < roi.width:
         raise RoiOutOfBounds(
             f"reference column {roi.reference_column} outside ROI width {roi.width}")
-    bit_depth = stack.metadata.get("bit_depth")
-    full_scale = 2 ** bit_depth - 1 if bit_depth is not None else None
+    full_scale = pixel_format(stack.metadata.get("bit_depth"))[1]
     frames = stack.frames if isinstance(stack, FrameStack) else stack
     profiles = np.empty((stack.n_frames, roi.width))
     saturated = 0
@@ -382,9 +397,7 @@ def _scheme_profile(series: ProcessedSeries, order: int, scheme: str,
             "mean profile vanishes at a column used by the correlation arguments")
 
     factors = profiles[:, column_sets]  # (n_frames, n_points, n_args)
-    # one frame's ratio is exactly 1, so a batch needs at least two frames
-    values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1,
-                                     n_batches if len(profiles) >= 2 * n_batches else 0)
+    values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
     return InterferencePattern(xs=xs_px * series.pixel_to_phase,
                                values=values, stderrs=stderrs)
 

@@ -166,7 +166,7 @@ def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches:
     row i of ``factors`` (rows, ..., k) its k factors over the same draws.
     The value pools every row.  The stderr is the standard deviation of the
     ratios of ``n_batches`` equal groups of leading rows over
-    sqrt(n_batches), or None with fewer than two groups or empty ones.  The
+    sqrt(n_batches), or None without two groups of two or more draws.  The
     groups are totalled, and their spread summed, in batch order, so neither
     depends on how the rows were computed or on the trailing axes' sizes.
     """
@@ -174,7 +174,7 @@ def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches:
         return (p / n) / np.prod(f / n, axis=-1)
 
     size = len(prod) // n_batches if n_batches >= 2 else 0
-    if not size:
+    if count * size < 2:
         return ratio(prod.sum(axis=0), factors.sum(axis=0), count * len(prod)), None
     cut = n_batches * size
     groups = [a[:cut].reshape(n_batches, size, *a.shape[1:]).sum(axis=1) for a in (prod, factors)]

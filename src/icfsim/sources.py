@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import ORDERS
 from .errors import (
     CustomModelNotSamplable,
     MissingMoment,
@@ -52,7 +53,7 @@ class SourceModel:
         if self.kind == "custom":
             filled = {int(k): float(v) for k, v in self.moments.items()}
         else:
-            filled = {k: moment(self, k) for k in (2, 3, 4)}
+            filled = {k: moment(self, k) for k in ORDERS}
         object.__setattr__(self, "moments", filled)
         object.__setattr__(self, "mean_intensity", float(self.mean_intensity))
         validate(self)
@@ -160,8 +161,6 @@ def coherence_envelope(model: SourceModel, delta) -> np.ndarray:
     if model.coherence_width is None:
         return np.ones_like(delta, dtype=float)
     w = model.coherence_width
-    if not w > 0:
-        raise NonpositiveWidth(f"coherence_width must be positive, got {w!r}")
     return np.exp(-(delta ** 2) / (2.0 * w * w))
 
 

@@ -185,6 +185,14 @@ class TestInvalidScans:
         with pytest.raises(NonfinitePhase):
             ScanPattern(order=3, scheme=scheme, grid=grid, offset=offset)
 
+    # a custom pattern with a nan phase gave a nan point and no error
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_custom_delta(self, phase):
+        deltas = np.zeros((3, 3))
+        deltas[1, 2] = phase
+        with pytest.raises(NonfinitePhase):
+            ScanPattern(order=3, scheme="custom", grid=self.GRID, deltas=deltas)
+
     @pytest.mark.parametrize("order, scheme, error", [
         (3, "bogus", ValueError), (3, "custom", ValueError),
         (4, "symmetric_opposite", UnsupportedOrder), (2, "single_detector", UnsupportedOrder),

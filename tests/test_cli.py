@@ -381,6 +381,49 @@ class TestFramesCli:
         assert (code, text, err) == (1, "", f"error: {message}\n")
         assert not stack_dir.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--phase-modulation", "harmonic", "--mod-amplitude", "nan"],
+         "harmonic drive amplitude nan and frequency 0.6180339887498949 give non-finite phases"),
+        (["--phase-modulation", "harmonic", "--mod-amplitude", "nan", "--no-poisson",
+          "--noise-sigma", "0"],
+         "harmonic drive amplitude nan and frequency 0.6180339887498949 give non-finite phases"),
+        (["--phase-modulation", "harmonic", "--mod-frequency", "inf", "--no-poisson"],
+         "harmonic drive amplitude 316.843 and frequency inf give non-finite phases"),
+        (["--noise-sigma", "inf", "--bit-depth", "0", "--format", "csv"],
+         "gaussian_sigma must be finite, got inf"),
+        (["--noise-sigma", "1e308", "--bit-depth", "0", "--format", "csv"],
+         "rendered frames rejected: pixel values must be finite"),
+        (["--period-px", "inf"],
+         "fringe_period_px must be positive and finite, at least 4 px (Nyquist margin), "
+         "got inf"),
+    ])
+    def test_non_finite_input_exit_1(self, tmp_path, capsys, flags, message):
+        # the first blamed the peak level, the next two wrote NaN-cast frames,
+        # the two read noises ended in a traceback and the period was written
+        # as Infinity
+        stack_dir = tmp_path / "stack"
+        code, text, err = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
+                              *flags, "--out", str(stack_dir))
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not stack_dir.exists()
+
+    def test_process_non_finite_period_exit_1(self, tmp_path, capsys):
+        # both printed a mean-intensity fringe visibility of 2.0000
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "2", "--frame-height", "2", "--out", str(stack_dir))
+        code, text, err = run(capsys, "process", str(stack_dir), "--period-px", "inf",
+                              "--out", str(tmp_path / "run"))
+        assert (code, text) == (1, "")
+        assert err == "error: fringe_period_px must be positive and finite, got inf\n"
+        manifest = stack_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["fringe_period_px"] = math.inf
+        manifest.write_text(json.dumps(data))
+        code, text, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
+        assert (code, text) == (1, "")
+        assert err == "error: fringe_period_px must be positive and finite, got inf\n"
+        assert not list(tmp_path.glob("run*"))
+
     @pytest.mark.parametrize("flags, named", [
         (["--mod-amplitude", "3"], "--mod-amplitude"),
         (["--mod-frequency", "0.25"], "--mod-frequency"),

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -260,12 +261,21 @@ class TestFrameReader:
         d = write_stack(tmp_path / "stack", frames, "pgm", {}, period=-4.0)
         with pytest.raises(BadOptics):
             FrameReader(d)
+        # an infinite period, in the manifest or supplied, gave a fringe
+        # visibility of 2
+        for period in (math.inf, math.nan):
+            d = write_stack(tmp_path / f"stack-{period}", frames, "pgm", {}, period=period)
+            with pytest.raises(BadOptics, match="finite"):
+                FrameReader(d)
+        with pytest.raises(BadOptics, match="finite"):
+            FrameReader(tmp_path / "stack", fringe_period_px=math.inf)
 
     @pytest.mark.parametrize("fmt, bit_depth, value", [
         ("csv", 16, 70000.0),   # would wrap to 4464 if cast first
         ("csv", 16, 3.5),       # not integral
         ("pgm", 12, 5000),      # inside 16 bits, outside 12
         ("csv", 40, 2.0 ** 33),  # no integer dtype holds 40 bits
+        ("csv", 0, 1.0), ("csv", 33, 1.0), ("csv", 8.5, 1.0), ("csv", True, 1.0),
     ])
     def test_values_checked_before_cast(self, tmp_path, fmt, bit_depth, value):
         frames = [np.zeros((2, 3)) for _ in range(3)]
@@ -273,7 +283,7 @@ class TestFrameReader:
         if fmt == "pgm":
             frames = [f.astype(np.uint16) for f in frames]
         d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": bit_depth})
-        bad = "manifest.json" if bit_depth > 32 else f"frame_0001.{fmt}"
+        bad = f"frame_0001.{fmt}" if bit_depth in (12, 16) else "manifest.json"
         with pytest.raises(MalformedFile, match=bad):
             load_frames(d)
 

@@ -115,6 +115,40 @@ class TestSynth:
                        FrameOptics(envelope_fwhm_px=-40.0)):
             with pytest.raises(BadOptics):
                 synth_frames(COHERENT, optics, n=1, seed=1)
+        # a non-finite drive or read noise, an infinite period and float
+        # pixels that overflow to inf wrote NaN-cast frames or an Infinity
+        # period, or ended in a traceback
+        with pytest.raises(BadOptics, match="drive"):
+            synth_frames(COHERENT, FrameOptics(noise=NoiseModel.none()), n=2, seed=1,
+                         modulation=HarmonicModulation(amplitude=math.nan))
+        with pytest.raises(BadOptics, match="drive"):
+            synth_frames(COHERENT, FrameOptics(noise=NoiseModel.none()), n=2, seed=1,
+                         modulation=HarmonicModulation(frequency=math.inf))
+        with pytest.raises(BadOptics, match="gaussian_sigma"):
+            synth_frames(COHERENT, FrameOptics(noise=NoiseModel(gaussian_sigma=math.inf)),
+                         n=1, seed=1)
+        with pytest.raises(BadOptics, match="finite"):
+            synth_frames(COHERENT, FrameOptics(noise=NoiseModel(gaussian_sigma=1e308),
+                                               bit_depth=None), n=1, seed=1)
+        with pytest.raises(BadOptics, match="fringe_period_px"):
+            synth_frames(COHERENT, FrameOptics(fringe_period_px=math.inf), n=1, seed=1)
+
+    @pytest.mark.parametrize("bit_depth, dtype, full_scale", [
+        (None, np.float64, None), (1, np.uint16, 1), (8, np.uint16, 255),
+        (16, np.uint16, 65535), (17, np.uint32, 131071), (32, np.uint32, 2 ** 32 - 1),
+        (np.int64(12), np.uint16, 4095)])
+    def test_pixel_format_of_each_bit_depth(self, bit_depth, dtype, full_scale):
+        assert frames_module.pixel_format(bit_depth) == (dtype, full_scale)
+        stack = synth_frames(COHERENT, FrameOptics(bit_depth=bit_depth, frame_width=64,
+                                                   frame_height=2), n=2, seed=1)
+        assert stack.frames.dtype == dtype
+
+    # 8.5 clipped at 361 but counted no saturated pixel, and wrote a stack
+    # that FrameReader rejects
+    @pytest.mark.parametrize("bit_depth", [0, 33, 8.5, True])
+    def test_bad_bit_depth(self, bit_depth):
+        with pytest.raises(BadOptics, match="bit_depth must be an integer in 1..32"):
+            synth_frames(COHERENT, FrameOptics(bit_depth=bit_depth), n=1, seed=1)
 
     def test_worker_determinism(self):
         a = synth_frames(THERMAL, n=40, seed=7)
@@ -236,6 +270,15 @@ class TestRenderTasks:
         for name in ("float", "coherent-noisy"):
             metadata = render_case(name).metadata
             assert metadata["saturated_pixels"] == metadata["saturated_frames"] == 0
+        # counted at the clip level of a narrow and of a uint32 bit depth,
+        # alike by the synthesizer and by roi_average
+        for bits, level in ((8, 120.0), (20, 480000.0)):
+            stack = synth_frames(THERMAL, FrameOptics(peak_level=level, bit_depth=bits,
+                                                      noise=NoiseModel.none(), frame_height=4),
+                                 n=60, seed=3)
+            full = stack.frames == 2 ** bits - 1
+            assert stack.metadata["saturated_pixels"] == np.count_nonzero(full) > 0
+            assert roi_average(stack, RoiSpec(height=4)).saturated_pixels == np.count_nonzero(full)
 
 
 class TestDefaultPeakLevel:
@@ -452,6 +495,12 @@ class TestCorrelationProfiles:
         assert g3.stderrs is not None
         g3_few = g3_profile(roi_average(stack, SMALL_ROI), n_batches=30)
         assert g3_few.stderrs is None  # 40 frames cannot fill 30 batches
+        # a batch needs two frames: 2 n_batches - 1 frames give no stderr
+        series = roi_average(stack, SMALL_ROI)
+        for n, formed in ((19, False), (20, True)):
+            edge = ProcessedSeries(profiles=series.profiles[:n], reference_column=300,
+                                   pixel_to_phase=series.pixel_to_phase)
+            assert (g3_profile(edge, n_batches=10).stderrs is not None) == formed
 
 
 

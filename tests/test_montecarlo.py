@@ -569,3 +569,13 @@ class TestRatioOfMeans:
         factors = np.random.default_rng(4).random((23, 3, 2)) + 0.5
         value, stderr = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
         assert stderr is None and value.shape == (3,)
+
+    # a group needs two draws: frames give rows of one, Monte Carlo rows of
+    # a whole batch each
+    @pytest.mark.parametrize("count, rows, formed", [
+        (1, 10, False), (2, 10, True), (1000, 10, True)])
+    def test_a_group_needs_two_draws(self, count, rows, formed):
+        from icfsim.montecarlo import ratio_of_means
+        factors = np.random.default_rng(5).random((rows, 3, 2)) + 0.5
+        _, stderr = ratio_of_means(factors.prod(axis=-1), factors, count, 10)
+        assert (stderr is not None) == formed
