@@ -164,7 +164,8 @@ def save_frames(stack: FrameStack, directory, fmt: str = "pgm") -> Path:
 class FrameReader:
     """One pass over a stack on disk, one checked frame at a time.
 
-    Parses the manifest (a path to it or to its directory) and reads the
+    Parses the manifest (a path to it or to its directory; a field of the
+    wrong JSON type raises ``MalformedFile`` naming it) and reads the
     first frame for the shape, and for the fringe period when neither the
     caller nor the manifest gives one; a supplied ``fringe_period_px`` wins
     over the manifest value.  Iterating yields every frame in manifest
@@ -181,13 +182,24 @@ class FrameReader:
             manifest = json.loads(manifest_path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedFile(manifest_path, f"invalid manifest JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise MalformedFile(manifest_path, "manifest must be a JSON object")
         self._format = manifest.get("format")
         if self._format not in ("pgm", "csv"):
             raise MalformedFile(manifest_path, f"unknown frame format {self._format!r}")
-        names = manifest.get("frames") or []
+        names = manifest.get("frames", [])
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise MalformedFile(manifest_path, "frames must be a list of file names")
         if not names:
             raise MalformedFile(manifest_path, "manifest lists no frames")
-        self.metadata = manifest.get("metadata") or {}
+        metadata = manifest.get("metadata")
+        if not isinstance(metadata, (dict, type(None))):
+            raise MalformedFile(manifest_path, "metadata must be an object or null")
+        self.metadata = metadata or {}
+        period = manifest.get("fringe_period_px")
+        if isinstance(period, bool) or not isinstance(period, (int, float, type(None))):
+            raise MalformedFile(manifest_path,
+                                f"fringe_period_px must be a number, got {period!r}")
         try:
             dtype, full_scale = pixel_format(self.metadata.get("bit_depth"))
         except BadOptics as exc:
@@ -197,7 +209,7 @@ class FrameReader:
         self._first = self._read(self.paths[0])
         self.shape = self._first.shape
         self.dtype = self._first.dtype
-        period = manifest.get("fringe_period_px") if fringe_period_px is None else fringe_period_px
+        period = period if fringe_period_px is None else fringe_period_px
         if period is None:
             period = estimate_fringe_period(self._first)
         self.fringe_period_px = float(period)

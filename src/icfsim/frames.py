@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import InterferencePattern, scheme_deltas
-from .constants import DEFAULT_SEED
 from .errors import (
     AllZeroPattern,
     BadOptics,
@@ -43,7 +42,7 @@ from .errors import (
     RoiOutOfBounds,
 )
 from .montecarlo import ratio_of_means, run_tasks
-from .sources import SourceModel, sample_batch
+from .sources import SourceModel, rng_from_seed, sample_batch, spawn_seeds
 
 # Pixels per render task: enough that small frames share their numpy calls,
 # few enough that a task's float buffer stays at 1 MB, so that rendering on
@@ -230,10 +229,12 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
 
     Pulse phases are uniform random draws unless a harmonic ``modulation``
     is given (amplitude 0 freezes the pattern).  Each frame draws from its
-    own seeded substream, so the stack is reproducible bit-for-bit for any
-    worker count.  Frames are rendered in tasks of consecutive frames
-    (``_TASK_PIXELS`` pixels, at least one frame), whose split depends on the
-    frame shape only, by ``montecarlo.run_tasks`` on ``workers`` threads.
+    own seeded substream, the one ``SeedSequence(seed).spawn(n)`` gives it,
+    whose state words ``spawn_seeds`` builds for every frame in one pass; so
+    the stack is reproducible bit-for-bit for any worker count.  Frames are
+    rendered in tasks of consecutive frames (``_TASK_PIXELS`` pixels, at
+    least one frame), whose split depends on the frame shape only, by
+    ``montecarlo.run_tasks`` on ``workers`` threads.
     Full-scale pixels are counted into the metadata as ``saturated_pixels``
     and ``saturated_frames``.
     """
@@ -262,8 +263,7 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     noisy = optics.noise.poisson or sigma > 0
 
     out = np.empty((n, height, width), dtype=dtype)
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    frame_seeds = root.spawn(n)
+    frame_seeds = spawn_seeds(seed, n)
 
     if modulation is not None:
         with np.errstate(all="ignore"):  # overflow and nan are rejected below
@@ -280,7 +280,7 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     def render(start: int):
         """Render one task's frames into ``out``; return their saturation counts."""
         stop = min(start + per_task, n)
-        rngs = [np.random.default_rng(s) for s in frame_seeds[start:stop]]
+        rngs = [rng_from_seed(words) for words in frame_seeds[start:stop]]
         ia, ib, th = (np.concatenate(d) for d in
                       zip(*(sample_batch(model, rng, 1) for rng in rngs)))
         theta = thetas[start:stop] if thetas is not None else th

@@ -9,18 +9,19 @@ standard error is the batch standard deviation over sqrt(n_batches).
 ``ratio_of_means`` is that estimator; the frame pipeline's correlation
 profiles use it too, with one frame per row.
 
-Every batch owns a seeded substream spawned from the run seed, and in a
-scan it serves every grid point: the draws are reduced once to monomial
-sums that each point contracts with its own coefficients.  So a point's
-value and stderr do not depend on the rest of the grid, and the errors of a
-scan's points are correlated.  A call's work is one list of tasks, runs of
-consecutive batches sized from the batch size alone; ``run_tasks``, which
-renders frames too, runs them on one thread pool (or inline) and merges
-them in order: results do not depend on workers.  Batches of fewer than
-``2 * _TASK_SAMPLES`` samples run inline, as their numpy calls are too
-short to overlap on two threads.  Each thread reuses its work buffers from
-task to task within a call, so batches do not fault in fresh memory; the
-buffers go when the call returns.
+Every batch owns a seeded substream, the one ``SeedSequence(seed).spawn``
+gives it, whose state words ``sources.spawn_seeds`` builds for every batch
+in one pass.  In a scan it serves every grid point: the draws are reduced
+once to monomial sums that each point contracts with its own coefficients.
+So a point's value and stderr do not depend on the rest of the grid, and
+the errors of a scan's points are correlated.  A call's work is one list
+of tasks, runs of consecutive batches sized from the batch size alone;
+``run_tasks``, which renders frames too, runs them on one thread pool (or
+inline) and merges them in order: results do not depend on workers.
+Batches of fewer than ``2 * _TASK_SAMPLES`` samples run inline, as their
+numpy calls are too short to overlap on two threads.  Each thread reuses
+its work buffers from task to task within a call, so batches do not fault
+in fresh memory; the buffers go when the call returns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import partial
 import numpy as np
 
 from .analytic import InterferencePattern, ScanPattern
-from .constants import DEFAULT_SEED
 from .errors import BadBatching
 # detector_intensities is not called here; it stays importable from this
 # module because perfbench's traced run wraps it under this name.
@@ -43,7 +43,9 @@ from .sources import (  # noqa: F401
     detector_intensities,
     detector_rows,
     field_terms,
+    rng_from_seed,
     sample_batch,
+    spawn_seeds,
 )
 
 # Samples per pool task: large enough that numpy's per-call overhead is
@@ -79,15 +81,15 @@ def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
     return arrays
 
 
-def _draw(model: SourceModel, seeds: list[np.random.SeedSequence], ia, ib, theta):
-    """Sample consecutive batches into (ia, ib, theta), one row per batch."""
-    for k, seed in enumerate(seeds):
-        sample_batch(model, np.random.default_rng(seed), ia.shape[1],
+def _draw(model: SourceModel, seeds: np.ndarray, ia, ib, theta):
+    """Sample batch k into row k of (ia, ib, theta) from the ``spawn_seeds`` row ``seeds[k]``."""
+    for k, words in enumerate(seeds):
+        sample_batch(model, rng_from_seed(words), ia.shape[1],
                      out=(ia[k], ib[k], theta[k]))
 
 
-def _task_sums(model: SourceModel, delta: np.ndarray,
-               seeds: list[np.random.SeedSequence], size: int, work=None):
+def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: int,
+               work=None):
     """Per-batch sums of the detector-intensity products, shape (batches,),
     and of each detector's intensity, shape (batches, detectors), where batch
     k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
@@ -110,8 +112,8 @@ def _times(a, b, out):
     return np.multiply(a, b, out=out)
 
 
-def _power_sums(model: SourceModel, order: int,
-                seeds: list[np.random.SeedSequence], size: int, work=None):
+def _power_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int,
+                work=None):
     """Per-batch sums, drawn as in ``_task_sums``, of the monomials
     base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
     ``field_terms``, shape (batches, monomials), and of base, c and s.
@@ -216,13 +218,13 @@ def run_tasks(fn, tasks, workers: int) -> list:
 
 def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
                 workers: int) -> list[np.ndarray]:
-    """Run ``task_sums(seeds, size, work)`` over the batch seeds spawned from
-    ``seed``, in runs of at most ``_TASK_SAMPLES // size`` (at least one)
-    batches, through ``run_tasks``, and join the per-batch rows it returns
-    in batch order.
+    """Run ``task_sums(seeds, size, work)`` over ``spawn_seeds(seed, n_batches)``,
+    the batches' state words, in runs of at most ``_TASK_SAMPLES // size``
+    (at least one) batches, through ``run_tasks``, and join the per-batch
+    rows it returns in batch order.
     """
     batch_size = _check_batching(n_samples, n_batches)
-    seeds = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed).spawn(n_batches)
+    seeds = spawn_seeds(seed, n_batches)
     per_task = max(1, _TASK_SAMPLES // batch_size)
     tasks = [seeds[k:k + per_task] for k in range(0, len(seeds), per_task)]
     # Below this size a task's numpy calls take a few microseconds each, too

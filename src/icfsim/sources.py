@@ -15,12 +15,13 @@ detector at phase offset d is attenuated by exp(-d^2 / (2 w^2)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ORDERS
+from .constants import DEFAULT_SEED, ORDERS
 from .errors import (
     CustomModelNotSamplable,
     MissingMoment,
@@ -162,6 +163,63 @@ def coherence_envelope(model: SourceModel, delta) -> np.ndarray:
         return np.ones_like(delta, dtype=float)
     w = model.coherence_width
     return np.exp(-(delta ** 2) / (2.0 * w * w))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def spawn_seeds(seed: int | None, n: int) -> np.ndarray:
+    """Row k of this (n, 4) array is ``SeedSequence(seed).spawn(n)[k]
+    .generate_state(4, np.uint64)``, for every k in one pass (``seed`` None
+    means DEFAULT_SEED): the root's pool with the spawn key k mixed in, as
+    SeedSequence mixes entropy beyond its pool, then hashed."""
+    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
+    # the root's mixing hashed 4 times per entropy word, at least 16 times
+    words = -(-int(root.entropy).bit_length() // 32)
+    hash_a = _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _MASK
+    key, pool, hash_b = np.arange(n, dtype=np.uint32), [], _INIT_B
+    for word in root.pool.tolist():  # mix(word, hashmix(k))
+        h = key ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK
+        h *= np.uint32(hash_a)
+        h ^= h >> 16
+        mixed = np.uint32(_MIX_L * word & _MASK) - h * np.uint32(_MIX_R)
+        pool.append(mixed ^ mixed >> 16)
+    state = np.empty((n, 8), dtype=np.uint32)
+    for i in range(8):  # generate_state: 8 uint32 words, read as 4 uint64
+        x = pool[i % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK
+        x *= np.uint32(hash_b)
+        np.bitwise_xor(x, x >> 16, out=state[:, i])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _state_words() -> type:
+    """The seed-sequence type of ``rng_from_seed``: a ``spawn_seeds`` row,
+    given as its child's ``generate_state(4, np.uint64)``.  It is made on
+    first use, as importing numpy.random along with this module raised peak
+    RSS by about 0.5 MB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = np.ascontiguousarray(words, dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, np.dtype(dtype), self.words.shape) != (4, np.uint64, (4,)):
+                raise ValueError(f"gives 4 uint64 words from a row of shape (4,), asked for "
+                                 f"{n_words} {np.dtype(dtype)} from shape {self.words.shape}")
+            return self.words
+
+    return StateWords
+
+
+def rng_from_seed(words) -> np.random.Generator:
+    """``np.random.default_rng(child)`` for the child whose ``spawn_seeds`` row is ``words``."""
+    return np.random.Generator(np.random.PCG64(_state_words()(words)))
 
 
 def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=None):

@@ -424,6 +424,23 @@ class TestFramesCli:
         assert err == "error: fringe_period_px must be positive and finite, got inf\n"
         assert not list(tmp_path.glob("run*"))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"fringe_period_px": "abc"}, "fringe_period_px must be a number, got 'abc'"),
+        ({"metadata": [1]}, "metadata must be an object or null"),
+        ({"frames": "x"}, "frames must be a list of file names"),
+    ])
+    def test_process_manifest_field_of_wrong_type_exit_1(self, tmp_path, capsys, edit,
+                                                         message):
+        # these ended in a ValueError or AttributeError traceback, or in a
+        # missing file named after one character of "x"
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "20", "--frame-height", "2", "--out", str(stack_dir))
+        manifest = stack_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **edit}))
+        code, text, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
+        assert (code, text, err) == (1, "", f"error: {manifest}: {message}\n")
+        assert not list(tmp_path.glob("run*"))
+
     @pytest.mark.parametrize("flags, named", [
         (["--mod-amplitude", "3"], "--mod-amplitude"),
         (["--mod-frequency", "0.25"], "--mod-frequency"),

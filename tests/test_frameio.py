@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -269,6 +270,40 @@ class TestFrameReader:
                 FrameReader(d)
         with pytest.raises(BadOptics, match="finite"):
             FrameReader(tmp_path / "stack", fringe_period_px=math.inf)
+
+    # each ended in a ValueError, AttributeError or a missing file "x"
+    @pytest.mark.parametrize("edit, named", [
+        ({"fringe_period_px": "abc"}, "fringe_period_px must be a number, got 'abc'"),
+        ({"fringe_period_px": True}, "fringe_period_px must be a number, got True"),
+        ({"fringe_period_px": [4.0]}, "fringe_period_px must be a number"),
+        ({"metadata": [1]}, "metadata must be an object or null"),
+        ({"metadata": "x"}, "metadata must be an object or null"),
+        ({"frames": "x"}, "frames must be a list of file names"),
+        ({"frames": ["frame_0000.pgm", 1]}, "frames must be a list of file names"),
+        ({"frames": None}, "frames must be a list of file names"),
+    ])
+    def test_manifest_field_of_wrong_type_rejected(self, tmp_path, edit, named):
+        frames = [np.zeros((4, 6), dtype=np.uint16)] * 2
+        d = write_stack(tmp_path / "stack", frames, "pgm", {})
+        data = json.loads((d / "manifest.json").read_text())
+        (d / "manifest.json").write_text(json.dumps({**data, **edit}))
+        with pytest.raises(MalformedFile, match="manifest.json: " + re.escape(named)):
+            FrameReader(d)
+
+    @pytest.mark.parametrize("manifest", [[1, 2], "stack", 4.0, None])
+    def test_manifest_not_an_object_rejected(self, tmp_path, manifest):
+        d = tmp_path / "stack"
+        d.mkdir()
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(MalformedFile, match="manifest must be a JSON object"):
+            FrameReader(d)
+
+    def test_null_metadata_and_period_accepted(self, tmp_path):
+        frames = [np.tile(np.array([0, 9, 0, 9], dtype=np.uint16), (2, 4))] * 2
+        d = write_stack(tmp_path / "stack", frames, "pgm", None, period=None)
+        reader = FrameReader(d)
+        assert reader.metadata == {}
+        assert reader.fringe_period_px == pytest.approx(2.0)
 
     @pytest.mark.parametrize("fmt, bit_depth, value", [
         ("csv", 16, 70000.0),   # would wrap to 4464 if cast first

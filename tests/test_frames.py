@@ -208,6 +208,20 @@ class TestRenderTasks:
         assert sha(stack.frames) == \
             "9281f91490d8b715a484b214c91ea8c9a28a6ddefcf51fb0d83af8aaa95d24ee"
 
+    # 300 frames of 64x16 pixels render in tasks of 128, 128 and 44 frames;
+    # pinned while each frame's generator came from SeedSequence.spawn and
+    # default_rng, seed None standing for DEFAULT_SEED
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model, seed, digest", [
+        (THERMAL, 41, "0f94c188bfab7df10a326e11db1268b41b191dec6e7b9398314f287a7c0289d3"),
+        (COHERENT, None, "2b6fe637454d1ce81f1b9832337510bd8cb3ab6f4be9c825b3466c5456707a49"),
+    ], ids=["thermal", "coherent"])
+    def test_multi_task_stack_matches_pin(self, model, seed, digest, workers):
+        optics = FrameOptics(frame_width=64, frame_height=16, peak_level=30000.0)
+        stack = synth_frames(model, optics, n=300, seed=seed, workers=workers)
+        assert stack.frames.dtype == np.uint16
+        assert sha(stack.frames) == digest
+
     @pytest.mark.parametrize("name", RENDER_CASES)
     def test_frames_equal_across_task_splits_and_workers(self, name, monkeypatch):
         expected = render_case(name).frames

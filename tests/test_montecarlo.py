@@ -24,6 +24,12 @@ GRID25 = np.linspace(0.0, 2.0 * np.pi, 25)
 THREADED = 32_768
 
 
+def spawned_words(seed, n):
+    """The batch seeds of a run, as numpy's own spawned children give them."""
+    return np.stack([s.generate_state(4, np.uint64)
+                     for s in np.random.SeedSequence(seed).spawn(n)])
+
+
 class TestEstimateIcf:
     def test_coherent_triple_at_zero_phases(self):
         est = estimate_icf(COHERENT, [0.0, 0.0, 0.0], 1_000_000, seed=101)
@@ -119,7 +125,7 @@ class TestDeterminism:
     def test_batch_sums_independent_of_task_split(self, model):
         from icfsim.montecarlo import _task_sums
         delta = np.array([0.9, 0.0, -0.9, 1.7])
-        seeds = np.random.SeedSequence(61).spawn(21)
+        seeds = spawned_words(61, 21)
         split = {}
         for per_task in (1, 3, 7):
             parts = [_task_sums(model, delta, seeds[k:k + per_task], 999)
@@ -217,14 +223,14 @@ class TestDeterminism:
     def test_batch_mean_set_invariant_under_merge_order(self):
         from icfsim.montecarlo import _task_sums, ratio_of_means
         delta = np.array([0.3, 0.0, -0.3])
-        root = np.random.SeedSequence(55)
-        seeds = root.spawn(20)
-        ratios = [ratio_of_means(*_task_sums(THERMAL, delta, [s], 1000), 1000, 1)[0]
-                  for s in seeds]
+        seeds = spawned_words(55, 20)
+        ratios = [ratio_of_means(*_task_sums(THERMAL, delta, seeds[k:k + 1], 1000), 1000, 1)[0]
+                  for k in range(20)]
         rng = np.random.default_rng(0)
         for _ in range(5):
             order = rng.permutation(20)
-            shuffled = [ratio_of_means(*_task_sums(THERMAL, delta, [seeds[i]], 1000), 1000, 1)[0]
+            shuffled = [ratio_of_means(*_task_sums(THERMAL, delta, seeds[i:i + 1], 1000),
+                                       1000, 1)[0]
                         for i in order]
             assert sorted(shuffled) == sorted(ratios)
 
@@ -297,7 +303,7 @@ class TestSharedSamples:
     def test_monomial_sums_match_direct_products(self, case):
         from icfsim.montecarlo import _power_sums, _scan_sums, _task_sums
         model, deltas = MONOMIAL_CASES[case]
-        seeds = np.random.SeedSequence(71).spawn(5)
+        seeds = spawned_words(71, 5)
         prod, factors = _scan_sums(model, deltas,
                                    *_power_sums(model, deltas.shape[1], seeds, 2000))
         # the row kernel on the same draws, one point at a time
@@ -310,7 +316,7 @@ class TestSharedSamples:
     @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
     def test_power_sums_independent_of_task_split(self, model):
         from icfsim.montecarlo import _power_sums
-        seeds = np.random.SeedSequence(61).spawn(21)
+        seeds = spawned_words(61, 21)
         whole = _power_sums(model, 4, seeds, 999)
         for per_task in (3, 7):
             parts = [_power_sums(model, 4, seeds[k:k + per_task], 999)
@@ -361,9 +367,10 @@ class TestStderrScaling:
         from icfsim.montecarlo import _task_sums, ratio_of_means
         delta = np.array([0.6, 0.0])
         est = estimate_icf(THERMAL, delta, 20_000, n_batches=20, seed=77)
-        seeds = np.random.SeedSequence(77).spawn(20)
-        ratios = np.array([ratio_of_means(*_task_sums(THERMAL, delta, [s], 1000), 1000, 1)[0]
-                           for s in seeds])
+        seeds = spawned_words(77, 20)
+        ratios = np.array([ratio_of_means(*_task_sums(THERMAL, delta, seeds[k:k + 1], 1000),
+                                          1000, 1)[0]
+                           for k in range(20)])
         assert est.stderr == pytest.approx(ratios.std(ddof=1) / math.sqrt(20),
                                            rel=1e-12)
         assert est.n_samples == 20 * 1000
@@ -421,6 +428,23 @@ PINNED_SCANS = {
          "0x1.1caaeb9434373p-5"]),
 }
 
+# estimate_scan at 4 grid points at the icfsim mc batching, 100 batches of
+# 1000 samples (tasks of 16 batches, the last of 4), seed 2718, as float.hex
+# of (values, stderrs); made while each batch's generator came from
+# SeedSequence.spawn and default_rng.
+PINNED_CLI_SCANS = {
+    ("coherent", 3, "symmetric_opposite"): (
+        ["0x1.3f9e152a73863p+1", "0x1.ff3ee5e87ba88p-3", "0x1.ff3ee5e87ba85p-3",
+         "0x1.3f9e152a73863p+1"],
+        ["0x1.2c49ac1d5d8bfp-7", "0x1.32850256ac01cp-11", "0x1.32850256ac01fp-11",
+         "0x1.2c49ac1d5d8bfp-7"]),
+    ("thermal", 4, "four_point_double_speed"): (
+        ["0x1.79bd0c7720cd8p+4", "0x1.e0e556b7b4b50p+1", "0x1.e2d3fbb9dec8ep+1",
+         "0x1.79bd0c7720cd8p+4"],
+        ["0x1.ed3118a612ceep-2", "0x1.d0fc3143ac772p-5", "0x1.cc5176c15b082p-5",
+         "0x1.ed3118a612cf0p-2"]),
+}
+
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
 # batch), seed 2718, as float.hex of (values, stderrs); made once the points
 # of a scan shared their draws, while cos and sin came from numpy.
@@ -471,6 +495,14 @@ POINT_CASES = {
     "coherent-3": (COHERENT, [0.4, 0.0, -0.4]),
     "thermal-1": (THERMAL, [0.7]),
 }
+
+
+def pinned_scan(case, n_batches, workers):
+    kind, order, scheme = case
+    pattern = ScanPattern(order=order, scheme=scheme, grid=np.linspace(0.0, 2 * np.pi, 4))
+    est = estimate_scan(SourceModel(kind), pattern, 100_000, n_batches=n_batches, seed=2718,
+                        workers=workers)
+    return [v.hex() for v in est.values.tolist()], [v.hex() for v in est.stderrs.tolist()]
 
 
 def pinned_point(case, n_samples, n_batches, workers):
@@ -543,12 +575,12 @@ class TestRatioOfMeans:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", list(PINNED_SCANS), ids=lambda c: "-".join(map(str, c)))
     def test_scan_matches_pinned_bits(self, case, workers):
-        kind, order, scheme = case
-        pattern = ScanPattern(order=order, scheme=scheme, grid=np.linspace(0.0, 2 * np.pi, 4))
-        est = estimate_scan(SourceModel(kind), pattern, 100_000, n_batches=10, seed=2718,
-                            workers=workers)
-        assert ([v.hex() for v in est.values.tolist()],
-                [v.hex() for v in est.stderrs.tolist()]) == PINNED_SCANS[case]
+        assert pinned_scan(case, 10, workers) == PINNED_SCANS[case]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(PINNED_CLI_SCANS), ids=lambda c: "-".join(map(str, c)))
+    def test_cli_batching_scan_matches_pinned_bits(self, case, workers):
+        assert pinned_scan(case, 100, workers) == PINNED_CLI_SCANS[case]
 
     def test_leftover_rows_enter_the_value_only(self):
         from icfsim.montecarlo import ratio_of_means

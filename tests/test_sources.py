@@ -20,7 +20,15 @@ from icfsim.errors import (
     NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
-from icfsim.sources import TRIG_CHUNK, TRIG_SCRATCH, cos_sin, detector_intensities
+from icfsim.constants import DEFAULT_SEED
+from icfsim.sources import (
+    TRIG_CHUNK,
+    TRIG_SCRATCH,
+    cos_sin,
+    detector_intensities,
+    rng_from_seed,
+    spawn_seeds,
+)
 
 
 def exponential_moment(k):
@@ -166,6 +174,81 @@ class TestSampling:
         assert all(g is o for g, o in zip(got, out))
         for x, y in zip(fresh, got):
             assert x.tobytes() == y.tobytes()
+
+
+def numpy_children(seed, n):
+    return np.random.SeedSequence(seed).spawn(n)
+
+
+class TestSpawnSeeds:
+    """``spawn_seeds`` and ``rng_from_seed`` against numpy's own spawned
+    children and ``default_rng``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 4097])
+    @pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, 2**32 - 1, 2**32, 2**64, 2**200 + 3])
+    def test_rows_are_spawned_state_words(self, seed, n):
+        rows = spawn_seeds(seed, n)
+        assert rows.dtype == np.uint64 and rows.shape == (n, 4) and rows.flags.c_contiguous
+        expected = np.stack([c.generate_state(4, np.uint64) for c in numpy_children(seed, n)])
+        assert np.array_equal(rows, expected)
+
+    def test_none_means_the_default_seed(self):
+        assert np.array_equal(spawn_seeds(None, 7), spawn_seeds(DEFAULT_SEED, 7))
+
+    @pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**64])
+    def test_draws_equal_default_rng_of_the_child(self, seed):
+        # the calls that sampling and frame rendering make
+        rows, children = spawn_seeds(seed, 5), numpy_children(seed, 5)
+        for words, child in zip(rows, children):
+            ours, theirs = rng_from_seed(words), np.random.default_rng(child)
+            for draw in (lambda g: g.standard_exponential(50), lambda g: g.random(50),
+                         lambda g: g.poisson(np.linspace(0.0, 4e4, 60).reshape(6, 10)),
+                         lambda g: g.normal(0.0, 300.0, (3, 7))):
+                assert draw(ours).tobytes() == draw(theirs).tobytes()
+
+    def test_negative_seed_raises_numpy_error(self):
+        with pytest.raises(ValueError) as theirs:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError) as ours:
+            spawn_seeds(-1, 3)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (4, np.uint32),
+                                                (8, np.uint32), (5, np.uint64)])
+    def test_only_four_uint64_words_are_given(self, n_words, dtype):
+        seed_seq = rng_from_seed(spawn_seeds(3, 1)[0]).bit_generator.seed_seq
+        assert seed_seq.generate_state(4, np.uint64).tobytes() == \
+            spawn_seeds(3, 1)[0].tobytes()
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed_seq.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("words", [np.arange(3), np.arange(8).reshape(2, 4)])
+    def test_other_than_four_words_rejected(self, words):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            rng_from_seed(words)
+
+    def test_estimators_and_frames_skip_per_child_seeding(self, monkeypatch):
+        from icfsim import ScanPattern, estimate_icf, estimate_scan, synth_frames
+
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("SeedSequence.spawn called")
+
+        def no_default_rng(*args, **kwargs):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        with pytest.raises(AssertionError):
+            np.random.SeedSequence(1).spawn(2)
+        model = SourceModel.thermal()
+        for workers in (1, 2):
+            estimate_icf(model, [0.3, 0.0], 2000, n_batches=10, seed=4, workers=workers)
+            estimate_icf(model, [0.3, 0.0], 20 * 32_768, n_batches=20, seed=4, workers=workers)
+            estimate_scan(model, ScanPattern(order=3, scheme="symmetric_opposite",
+                                             grid=np.linspace(0.0, 6.0, 3)),
+                          2000, n_batches=10, seed=4, workers=workers)
+            synth_frames(model, n=3, seed=4, workers=workers)
 
 
 class TestEnvelope:
