@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=KINDS, default="coherent")
         p.add_argument("--coherence-width", type=float, dest="coherence_width",
                        help="Gaussian coherence envelope width (rad)")
-        p.set_defaults(moments=None)  # a custom model's table: config files only
+        p.set_defaults(moments={})  # a custom model's table: config files only
         p.add_argument("--order", type=int, choices=ORDERS, default=3)
         p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
         p.add_argument("--grid-points", type=int, dest="grid_points", default=grid_points)
@@ -252,13 +252,10 @@ def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
 
 
 def _model(opts: dict) -> SourceModel:
-    if opts["kind"] != "custom":
-        if opts["moments"] is not None:
-            raise IcfSimError(f"a 'moments' table is for custom models, not {opts['kind']}")
-        return SourceModel(opts["kind"], coherence_width=opts["coherence_width"])
-    if not opts["moments"]:
+    if opts["kind"] == "custom" and not opts["moments"]:
         raise IcfSimError("custom models need a 'moments' table in the --config file")
-    return SourceModel.from_dict(opts)
+    return SourceModel(opts["kind"], moments=opts["moments"],
+                       coherence_width=opts["coherence_width"])
 
 
 def _scan_pattern(opts: dict) -> ScanPattern:

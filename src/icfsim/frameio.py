@@ -14,6 +14,7 @@ through either format.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ class FrameReader:
         manifest_path = path / MANIFEST_NAME if path.is_dir() else path
         try:
             manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
             raise MalformedFile(manifest_path, f"invalid manifest JSON: {exc}") from None
         if not isinstance(manifest, dict):
             raise MalformedFile(manifest_path, "manifest must be a JSON object")
@@ -200,6 +201,9 @@ class FrameReader:
         if isinstance(period, bool) or not isinstance(period, (int, float, type(None))):
             raise MalformedFile(manifest_path,
                                 f"fringe_period_px must be a number, got {period!r}")
+        if isinstance(period, int) and abs(period) > sys.float_info.max:
+            raise MalformedFile(manifest_path, f"fringe_period_px must be within float range, "
+                                f"got an integer of {len(str(abs(period)))} digits")
         try:
             dtype, full_scale = pixel_format(self.metadata.get("bit_depth"))
         except BadOptics as exc:

@@ -4,9 +4,9 @@ Both sources share a single model: the same intensity statistics, the same
 mean intensity, and an independently fluctuating relative phase theta.
 Coherent light has constant intensity, so every normalized moment
 g(k) = <I^k>/<I>^k equals 1.  Single-mode thermal light has exponentially
-distributed intensity, giving g(k) = k!.  Custom models carry explicit
-moments and are analytic-only: a distribution is underdetermined by four
-moments, so they cannot be sampled.
+distributed intensity, giving g(k) = k! (``moment`` defines both).  Custom
+models carry a moments table and are analytic-only: a distribution is
+underdetermined by four moments, so they cannot be sampled.
 
 An optional ``coherence_width`` w (in phase units) models the finite mutual
 coherence of pseudo-thermal speckle: the interference term seen by a
@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .constants import DEFAULT_SEED, ORDERS
+from .constants import DEFAULT_SEED
 from .errors import (
     CustomModelNotSamplable,
+    IcfSimError,
     MissingMoment,
     MomentInequalityViolated,
     NonpositiveMeanIntensity,
@@ -37,10 +39,11 @@ KINDS = ("coherent", "thermal", "custom")
 class SourceModel:
     """One classical source: kind, mean intensity, normalized moments.
 
-    ``moments`` maps order k to g(k) = <I^k>/<I>^k.  It is auto-filled for
-    coherent and thermal kinds and must be supplied for custom kinds.
-    Models are validated on construction and immutable afterwards, so they
-    are safe to share across threads.
+    ``moments`` maps order k to g(k) = <I^k>/<I>^k, as given to a custom
+    model; coherent and thermal models hold ``{}`` (``moment`` gives their
+    g(k)).  Orders are integers >= 2 or their decimal strings, and values
+    real, finite and positive.  Models are validated on construction and
+    immutable afterwards, so they are safe to share across threads.
     """
 
     kind: str
@@ -51,11 +54,20 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "custom":
-            filled = {int(k): float(v) for k, v in self.moments.items()}
-        else:
-            filled = {k: moment(self, k) for k in ORDERS}
-        object.__setattr__(self, "moments", filled)
+        if not isinstance(self.moments, dict):
+            raise IcfSimError(f"'moments' must be a table of order: g(order), got {self.moments!r}")
+        if self.moments and self.kind != "custom":
+            raise IcfSimError(f"a 'moments' table is for custom models, not {self.kind}")
+        table = {}
+        for k, v in self.moments.items():
+            order = int(k) if str(k).isdecimal() else 0  # not bools: str(True) is "True"
+            if order < 2 or order in table:
+                raise IcfSimError(f"'moments' orders must be distinct integers >= 2, got {k!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
+                raise MomentInequalityViolated(
+                    order, v, 0.0, f"moment g({order}) must be a positive finite number, got {v!r}")
+            table[order] = float(v)
+        object.__setattr__(self, "moments", table)
         object.__setattr__(self, "mean_intensity", float(self.mean_intensity))
         validate(self)
 
@@ -76,47 +88,33 @@ class SourceModel:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SourceModel":
-        """Build a model from a JSON-style config object.
-
-        Expected keys: ``kind`` (required), ``mean_intensity``, ``moments``
-        (order -> value, keys may be JSON strings), ``coherence_width``.
-        """
-        moments = {int(k): float(v) for k, v in (cfg.get("moments") or {}).items()}
-        return cls(
-            kind=cfg["kind"],
-            mean_intensity=cfg.get("mean_intensity", 1.0),
-            moments=moments,
-            coherence_width=cfg.get("coherence_width"),
-        )
+        """The model of a ``to_dict``-style object: ``kind`` (required),
+        ``mean_intensity``, ``moments`` and ``coherence_width``, passed on
+        as they are.  Any other key raises."""
+        unknown = set(cfg) - {f.name for f in fields(cls)}
+        if unknown:
+            raise IcfSimError(f"unknown source model keys: {sorted(map(str, unknown))}")
+        return cls(**cfg)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mean_intensity": self.mean_intensity,
-            "moments": {str(k): v for k, v in sorted(self.moments.items())},
-            "coherence_width": self.coherence_width,
-        }
+        return asdict(self)
 
 
 def validate(model: SourceModel) -> None:
     """Check the classicality constraints; raise on the first violation.
 
-    Constraints: mean intensity positive; coherence width (if any) positive;
-    g(2) >= 1, and the Cauchy-Schwarz chain g(3) >= g(2)^2 and
-    g(4) g(2) >= g(3)^2 for whichever moments the model provides.
+    Constraints: mean intensity positive and finite; coherence width (if
+    any) positive; g(2) >= 1, and the Cauchy-Schwarz chain g(3) >= g(2)^2
+    and g(4) g(2) >= g(3)^2 for whichever moments the model provides
+    (``SourceModel`` checks that each is a positive finite number).
     """
-    if not model.mean_intensity > 0:
+    if not 0 < model.mean_intensity < math.inf:
         raise NonpositiveMeanIntensity(
-            f"mean_intensity must be positive, got {model.mean_intensity!r}")
+            f"mean_intensity must be positive and finite, got {model.mean_intensity!r}")
     if model.coherence_width is not None and not model.coherence_width > 0:
         raise NonpositiveWidth(
             f"coherence_width must be positive, got {model.coherence_width!r}")
-    m = model.moments
-    g2, g3, g4 = m.get(2), m.get(3), m.get(4)
-    for k, v in sorted(m.items()):
-        if v <= 0:
-            raise MomentInequalityViolated(k, v, 0.0,
-                                           f"moment g({k}) must be positive, got {v!r}")
+    g2, g3, g4 = (model.moments.get(k) for k in (2, 3, 4))
     if g2 is not None and g2 < 1.0:
         raise MomentInequalityViolated(2, g2, 1.0)
     if g3 is not None:

@@ -428,6 +428,8 @@ class TestFramesCli:
         ({"fringe_period_px": "abc"}, "fringe_period_px must be a number, got 'abc'"),
         ({"metadata": [1]}, "metadata must be an object or null"),
         ({"frames": "x"}, "frames must be a list of file names"),
+        ({"fringe_period_px": 10 ** 400},  # ended in an uncaught OverflowError
+         "fringe_period_px must be within float range, got an integer of 401 digits"),
     ])
     def test_process_manifest_field_of_wrong_type_exit_1(self, tmp_path, capsys, edit,
                                                          message):
@@ -611,6 +613,26 @@ class TestConfig:
         assert code == 1
         assert err.startswith("error: ") and "'moments'" in err
         assert text == "" and not (tmp_path / "p.csv").exists()
+
+    # NaN printed "visibility = nan" and exited 0, True and key "1" were
+    # accepted or ignored, and "x", a list and "abc" ended in a traceback
+    @pytest.mark.parametrize("command", ["analytic", "mc"])
+    @pytest.mark.parametrize("moments, message", [
+        ({"2": math.nan, "3": 6.0}, "moment g(2) must be a positive finite number, got nan"),
+        ({"2": 2.0, "x": 6.0}, "'moments' orders must be distinct integers >= 2, got 'x'"),
+        ([2.0, 6.0], "'moments' must be a table of order: g(order), got [2.0, 6.0]"),
+        ({"2": "abc"}, "moment g(2) must be a positive finite number, got 'abc'"),
+        ({"2": True, "3": True}, "moment g(2) must be a positive finite number, got True"),
+        ({"1": 1.0, "2": 2.0}, "'moments' orders must be distinct integers >= 2, got '1'"),
+    ], ids=["nan", "key-x", "list", "abc", "true", "key-1"])
+    def test_malformed_moments_table_exit_1(self, tmp_path, capsys, command, moments,
+                                            message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"kind": "custom", "moments": moments}))
+        code, text, err = run(capsys, command, "--config", str(config),
+                              "--out", str(tmp_path / "p.csv"))
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("content, message", [
         ({"kind": "thermal", "grid-pionts": 181}, "'grid-pionts'"),

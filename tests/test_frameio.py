@@ -207,9 +207,11 @@ class TestStackRoundTrip:
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text("{not json")
-        with pytest.raises(MalformedFile):
-            load_frames(path)
+        # json.loads refuses an integer of over 4300 digits with a ValueError
+        for text in ("{not json", '{"fringe_period_px": 1' + "0" * 5000 + "}"):
+            path.write_text(text)
+            with pytest.raises(MalformedFile, match="invalid manifest JSON"):
+                load_frames(path)
 
 
 def write_stack(directory, frames, fmt, metadata, period=4.0):
@@ -281,6 +283,11 @@ class TestFrameReader:
         ({"frames": "x"}, "frames must be a list of file names"),
         ({"frames": ["frame_0000.pgm", 1]}, "frames must be a list of file names"),
         ({"frames": None}, "frames must be a list of file names"),
+        # float() of these raised OverflowError
+        ({"fringe_period_px": 10 ** 400},
+         "fringe_period_px must be within float range, got an integer of 401 digits"),
+        ({"fringe_period_px": -10 ** 309},
+         "fringe_period_px must be within float range, got an integer of 310 digits"),
     ])
     def test_manifest_field_of_wrong_type_rejected(self, tmp_path, edit, named):
         frames = [np.zeros((4, 6), dtype=np.uint16)] * 2

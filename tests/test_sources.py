@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from icfsim import (
 )
 from icfsim.errors import (
     CustomModelNotSamplable,
+    IcfSimError,
     MissingMoment,
     MomentInequalityViolated,
     NonpositiveMeanIntensity,
@@ -40,13 +42,13 @@ def exponential_moment(k):
 class TestValidation:
     def test_coherent_valid_with_unit_moments(self):
         model = SourceModel.coherent()
-        assert model.moments == {2: 1.0, 3: 1.0, 4: 1.0}
+        assert {k: moment(model, k) for k in (2, 3, 4)} == {2: 1.0, 3: 1.0, 4: 1.0}
 
     def test_thermal_moments_match_exponential_integrals(self):
         model = SourceModel.thermal()
         for k in (2, 3, 4):
-            assert model.moments[k] == pytest.approx(exponential_moment(k), rel=1e-10)
-        assert model.moments == {2: 2.0, 3: 6.0, 4: 24.0}
+            assert moment(model, k) == pytest.approx(exponential_moment(k), rel=1e-10)
+        assert {k: moment(model, k) for k in (2, 3, 4)} == {2: 2.0, 3: 6.0, 4: 24.0}
 
     def test_custom_g3_below_g2_squared_rejected(self):
         # Cauchy-Schwarz: <I^3><I> >= <I^2>^2, i.e. g3 >= g2^2 = 4
@@ -82,6 +84,47 @@ class TestValidation:
             SourceModel.coherent(mean_intensity=0.0)
         with pytest.raises(NonpositiveMeanIntensity):
             SourceModel.thermal(mean_intensity=-1.0)
+        # inf was accepted, and estimate_icf then gave value = nan, stderr = nan
+        with pytest.raises(NonpositiveMeanIntensity, match="positive and finite, got inf"):
+            SourceModel.coherent(mean_intensity=math.inf)
+
+    def test_named_kinds_hold_no_table(self):
+        assert SourceModel.coherent().moments == SourceModel.thermal().moments == {}
+
+    @pytest.mark.parametrize("kind", ["coherent", "thermal"])
+    def test_table_on_a_named_kind_rejected(self, kind):
+        # the table was silently replaced by the kind's own moments
+        with pytest.raises(IcfSimError, match=f"'moments' table is for custom models, not {kind}$"):
+            SourceModel(kind, moments={2: 2.0, 3: 6.0})
+
+    # NaN, inf, True, "2.0", the keys 1, "1", "-2", 2.0 and True and a key
+    # given twice were accepted (converted, or kept and ignored); "x" and a
+    # list ended in a ValueError or AttributeError
+    @pytest.mark.parametrize("moments, message", [
+        ({2: math.nan}, "moment g(2) must be a positive finite number, got nan"),
+        ({2: 2.0, 3: math.inf}, "moment g(3) must be a positive finite number, got inf"),
+        ({2: True}, "moment g(2) must be a positive finite number, got True"),
+        ({"2": "2.0"}, "moment g(2) must be a positive finite number, got '2.0'"),
+        ({2: 0.0}, "moment g(2) must be a positive finite number, got 0.0"),
+        ({1: 1.0}, "orders must be distinct integers >= 2, got 1"),
+        ({"1": 1.0}, "orders must be distinct integers >= 2, got '1'"),
+        ({"x": 2.0}, "orders must be distinct integers >= 2, got 'x'"),
+        ({"-2": 2.0}, "orders must be distinct integers >= 2, got '-2'"),
+        ({2.0: 2.0}, "orders must be distinct integers >= 2, got 2.0"),
+        ({True: 2.0}, "orders must be distinct integers >= 2, got True"),
+        ({2: 2.0, "2": 3.0}, "orders must be distinct integers >= 2, got '2'"),
+        ([2.0, 6.0], "'moments' must be a table of order: g(order), got [2.0, 6.0]"),
+    ], ids=["nan", "inf", "bool", "str", "zero", "key-1", "key-str-1", "key-x",
+            "key-minus-2", "key-float", "key-bool", "key-twice", "list"])
+    def test_malformed_table_rejected(self, moments, message):
+        with pytest.raises(IcfSimError, match=re.escape(message)):
+            SourceModel.custom(moments)
+
+    def test_table_of_numpy_scalars_accepted(self):
+        model = SourceModel.custom({np.int64(2): np.float64(2.5), "3": np.float32(6.5),
+                                    4: np.int64(17)})
+        assert model.moments == {2: 2.5, 3: 6.5, 4: 17.0}
+        assert all(type(k) is int and type(v) is float for k, v in model.moments.items())
 
     def test_nonpositive_coherence_width(self):
         with pytest.raises(NonpositiveWidth):
@@ -349,6 +392,13 @@ class TestSerialization:
         assert model.coherence_width is None
 
     def test_round_trip(self):
-        model = SourceModel.thermal(mean_intensity=0.5, coherence_width=6.0)
-        again = SourceModel.from_dict(json.loads(json.dumps(model.to_dict())))
-        assert again == model
+        for model in (SourceModel.coherent(),
+                      SourceModel.thermal(mean_intensity=0.5, coherence_width=6.0),
+                      SourceModel.custom({2: 3.0, 3: 9.5}, 2.0, coherence_width=1.5)):
+            for data in (model.to_dict(), json.loads(json.dumps(model.to_dict()))):
+                assert SourceModel.from_dict(data) == model
+
+    def test_unknown_keys_rejected(self):
+        # both keys were dropped, giving coherence_width=None
+        with pytest.raises(IcfSimError, match=re.escape("['coherence-width', 'seed']")):
+            SourceModel.from_dict({"kind": "thermal", "coherence-width": 2.0, "seed": 1})
