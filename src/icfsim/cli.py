@@ -202,6 +202,11 @@ def _config_value(key: str, value, action: argparse.Action, path: str):
             value, (int, float) if expected is float else expected):
         raise IcfSimError(f"{key} in config file {path} must be of type "
                           f"{expected.__name__}, got {value!r}")
+    # range-checked, not converted: float() would change how an integer
+    # value is written out (synth's period_px in the manifest)
+    if expected is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise IcfSimError(f"{key} in config file {path} must be within float range, "
+                          f"got an integer of {len(str(abs(value)))} digits")
     if action.choices is not None and value not in action.choices:
         raise IcfSimError(f"{key} in config file {path} must be one of "
                           f"{', '.join(map(str, action.choices))}, got {value!r}")
@@ -224,7 +229,10 @@ def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
     args = parser.parse_args(argv)
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
+                raise IcfSimError(f"invalid JSON in config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             parser.error(f"config file {args.config} must hold a JSON object")
         command = _command_parser(parser, args.command)
@@ -497,7 +505,7 @@ def main(argv=None) -> int:
     try:
         opts = _resolve(parser, argv)
         return _COMMANDS[opts["command"]](opts)
-    except (IcfSimError, OSError, json.JSONDecodeError) as exc:
+    except (IcfSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,6 +49,11 @@ from .sources import SourceModel, rng_from_seed, sample_batch, spawn_seeds
 # two threads adds little to peak memory (at 4 MB it added about 9 MB).
 _TASK_PIXELS = 1 << 17
 
+# Pixel bytes per block when a stack is read or reduced in blocks: enough
+# that a block's numpy calls cost little per frame, little enough that
+# reading a stack from disk holds about 1 MB of it besides the profiles.
+_BLOCK_BYTES = 1 << 20
+
 # Default incommensurate drive frequency (cycles per frame) so that a
 # harmonic phase sequence equidistributes over its cycle.
 GOLDEN_FRACTION = 0.6180339887498949
@@ -139,6 +144,12 @@ def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
                 raise ValueError("bit-depth-limited stacks must hold integer values")
 
 
+def block_frames(frame_bytes: int) -> int:
+    """Frames per block for frames of ``frame_bytes`` bytes: ``_BLOCK_BYTES``
+    worth, at least one."""
+    return max(1, _BLOCK_BYTES // frame_bytes)
+
+
 @dataclass(frozen=True)
 class FrameStack:
     """n single-pulse frames plus the optical metadata needed to process them."""
@@ -162,6 +173,12 @@ class FrameStack:
     @property
     def shape(self) -> tuple:
         return self.frames.shape[1:]
+
+    def blocks(self):
+        """The frames as consecutive views of ``block_frames`` frames each."""
+        step = block_frames(self.frames[0].nbytes)
+        for start in range(0, self.n_frames, step):
+            yield self.frames[start:start + step]
 
 
 @dataclass(frozen=True)
@@ -334,12 +351,28 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         raise BadOptics(f"rendered frames rejected: {exc}") from None
 
 
+def _sum_dtype(dtype: np.dtype, rows: int):
+    """Unsigned dtype that sums ``rows`` pixels of integer ``dtype`` exactly,
+    uint32 where it can, or None for float pixels and for sums that could
+    reach 2^53, where float64 stops holding every integer."""
+    if dtype.kind not in "ui":
+        return None
+    bound = rows * np.iinfo(dtype).max
+    if bound >= 2 ** 53:
+        return None
+    return np.uint32 if bound <= np.iinfo(np.uint32).max else np.uint64
+
+
 def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
     """Row-average the ROI of every frame into 1-D intensity profiles.
 
-    ``stack`` is a FrameStack or a ``frameio.FrameReader``.  Frames are
-    reduced one at a time, so a reader never holds more than one frame
-    besides the profiles.  ROI pixels at full scale are counted on the way.
+    ``stack`` is a FrameStack or a ``frameio.FrameReader``; both yield their
+    frames in blocks of about ``_BLOCK_BYTES`` (``blocks()``), and each block
+    is reduced with one call, so a reader holds one block besides the
+    profiles.  Integer pixels are summed exactly (``_sum_dtype``) and the
+    sums divided by the ROI height, which gives the bits of a float64 mean;
+    other pixels take the float64 mean.  ROI pixels at full scale are
+    counted once per block.
     """
     roi = roi or RoiSpec()
     height, width = stack.shape
@@ -352,14 +385,21 @@ def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
         raise RoiOutOfBounds(
             f"reference column {roi.reference_column} outside ROI width {roi.width}")
     full_scale = pixel_format(stack.metadata.get("bit_depth"))[1]
-    frames = stack.frames if isinstance(stack, FrameStack) else stack
+    rows, columns = slice(roi.y0, roi.y0 + roi.height), slice(roi.x0, roi.x0 + roi.width)
     profiles = np.empty((stack.n_frames, roi.width))
-    saturated = 0
-    for j, frame in enumerate(frames):
-        crop = frame[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
-        crop.mean(axis=0, dtype=np.float64, out=profiles[j])
-        if full_scale is not None:
+    saturated = start = 0
+    for block in stack.blocks():
+        crop = block[:, rows, columns]
+        out = profiles[start:start + len(block)]
+        accumulator = _sum_dtype(crop.dtype, roi.height)
+        if accumulator is None:
+            crop.mean(axis=1, dtype=np.float64, out=out)
+        else:
+            np.divide(crop.sum(axis=1, dtype=accumulator), roi.height, out=out)
+        # checked pixels never exceed full scale, so a lower maximum counts none
+        if full_scale is not None and crop.max() == full_scale:
             saturated += int(np.count_nonzero(crop == full_scale))
+        start += len(block)
     return ProcessedSeries(profiles=profiles,
                            reference_column=roi.reference_column,
                            pixel_to_phase=2.0 * np.pi / stack.fringe_period_px,

@@ -634,6 +634,37 @@ class TestConfig:
         assert (code, text, err) == (1, "", f"error: {message}\n")
         assert not (tmp_path / "p.csv").exists()
 
+    # each ended in OverflowError: a float option keeps a config integer as
+    # it is, and float() of one beyond float range overflows
+    @pytest.mark.parametrize("command, text", [
+        ("analytic", '{"coherence_width": 1' + "0" * 400 + "}"),
+        ("analytic", '{"scheme": "single-detector", "offset": -1' + "0" * 400 + "}"),
+        ("synth", '{"frames": 2, "period_px": 1' + "0" * 400 + "}"),
+    ], ids=["coherence-width", "offset", "period-px"])
+    def test_integer_beyond_float_range_exit_1(self, tmp_path, capsys, command, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        key = next(iter(json.loads(text).keys() - {"scheme", "frames"}))
+        code, out, err = run(capsys, command, "--config", str(config),
+                             "--out", str(tmp_path / "p"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {key} in config file {config} must be within float range, "
+                       f"got an integer of 401 digits\n")
+        assert not any(tmp_path.glob("p*"))
+
+    # json.load refuses an integer of over 4300 digits with a ValueError,
+    # which ended every subcommand in a traceback
+    @pytest.mark.parametrize("command", ["verify", "analytic", "synth"])
+    def test_integer_of_over_4300_digits_exit_1(self, tmp_path, capsys, command):
+        config = tmp_path / "run.json"
+        config.write_text('{"seed": 1' + "0" * 5000 + "}")
+        out = [] if command == "verify" else ["--out", str(tmp_path / "p")]
+        code, text, err = run(capsys, command, "--config", str(config), *out)
+        assert (code, text) == (1, "")
+        assert err.startswith(f"error: invalid JSON in config file {config}: ")
+        assert "4300" in err and err.count("\n") == 1
+        assert not any(tmp_path.glob("p*"))
+
     @pytest.mark.parametrize("content, message", [
         ({"kind": "thermal", "grid-pionts": 181}, "'grid-pionts'"),
         (["kind", "thermal"], "must hold a JSON object"),

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from icfsim import (
     save_frames,
     synth_frames,
 )
+import icfsim.frames as frames_module
 from icfsim.cli import main
 from icfsim.errors import BadOptics, InconsistentDimensions, MalformedFile
 from icfsim.frameio import read_frame_csv, read_pgm, write_frame_csv, write_pgm
@@ -357,3 +359,162 @@ class TestFrameReader:
         assert loaded.frames.nbytes == stack_bytes
         assert process_peak < stack_bytes
         assert load_peak < 1.5 * stack_bytes
+
+
+BLOCK = 3  # frames per block in TestBlocks
+
+
+def pgm_bytes(image, header=None, maxval=65535, tail=b""):
+    """A P5 file of ``image`` under ``header`` (default: the one write_pgm writes)."""
+    height, width = image.shape
+    header = header or f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    return header + image.astype(">u2" if maxval > 255 else np.uint8).tobytes() + tail
+
+
+def small_blocks(monkeypatch, fmt="pgm"):
+    """Set the block budget to BLOCK 4x6 frames as read (16-bit PGM, float64 CSV)."""
+    monkeypatch.setattr(frames_module, "_BLOCK_BYTES", BLOCK * 4 * 6 * (2 if fmt == "pgm" else 8))
+
+
+class TestBlocks:
+    """FrameReader reads a stack in blocks of ``frames.block_frames`` frames."""
+
+    def test_budget_holds_at_least_one_frame(self):
+        assert frames_module._BLOCK_BYTES == 1 << 20
+        assert frames_module.block_frames(600 * 50 * 2) == 17
+        assert frames_module.block_frames(2 << 20) == 1
+        assert frames_module.block_frames(1 << 20) == 1
+
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    @pytest.mark.parametrize("n, sizes", [(1, [1]), (BLOCK, [BLOCK]), (BLOCK + 1, [BLOCK, 1]),
+                                          (2 * BLOCK + 2, [BLOCK, BLOCK, 2])],
+                             ids=["one-frame", "one-block", "block-plus-one", "three-blocks"])
+    def test_block_edges(self, tmp_path, monkeypatch, fmt, n, sizes):
+        frames = np.random.default_rng(n).integers(0, 4096, (n, 4, 6), dtype=np.uint16)
+        frames[-1, 2, 3] = 4095
+        d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": 12})
+        small_blocks(monkeypatch, fmt)
+        reader = FrameReader(d)
+        blocks = [block.copy() for block in reader.blocks()]
+        assert [len(b) for b in blocks] == sizes
+        assert all(b.dtype == np.uint16 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), frames)
+        loaded = load_frames(d)
+        assert np.array_equal(loaded.frames, frames) and loaded.frames.dtype == np.uint16
+        roi = RoiSpec(1, 1, 5, 3, 2)
+        series = roi_average(reader, roi)
+        reference = [f[1:4, 1:6].mean(axis=0, dtype=np.float64) for f in frames]
+        assert series.profiles.tobytes() == np.array(reference).tobytes()
+        assert series.saturated_pixels == 1
+
+    def test_default_budget_block_plus_one(self, tmp_path):
+        stack = synth_frames(SourceModel.thermal(), FrameOptics(), n=18, seed=3)
+        reader = FrameReader(save_frames(stack, tmp_path / "stack"))
+        assert [len(block) for block in reader.blocks()] == [17, 1]
+        assert roi_average(reader).profiles.tobytes() == roi_average(stack).profiles.tobytes()
+
+    def test_blocks_reuse_one_array(self, tmp_path, monkeypatch):
+        frames = np.arange(7 * 4 * 6, dtype=np.uint16).reshape(7, 4, 6)
+        small_blocks(monkeypatch)
+        reader = FrameReader(write_stack(tmp_path / "stack", frames, "pgm", {}))
+        bases = {id(block.base) for block in reader.blocks()}
+        assert len(bases) == 1
+        # a second pass reads the stack again, the first frame included
+        assert np.array_equal(np.concatenate([b.copy() for b in reader.blocks()]), frames)
+
+    def test_8_bit_and_commented_frames_inside_a_stack(self, tmp_path, monkeypatch):
+        small_blocks(monkeypatch)
+        frames = np.random.default_rng(1).integers(0, 256, (5, 4, 6), dtype=np.uint16)
+        d = write_stack(tmp_path / "stack", frames, "pgm", {"bit_depth": 8})
+        (d / "frame_0001.pgm").write_bytes(pgm_bytes(frames[1], maxval=255))
+        commented = b"#a\nP5 # b\n#c\n6\n# d\n4\t#e\n\n 255\n"
+        (d / "frame_0003.pgm").write_bytes(pgm_bytes(frames[3], commented, maxval=255))
+        (d / "frame_0004.pgm").write_bytes(pgm_bytes(frames[4], b"P5\n6 #\n4 #\n300 "))
+        assert np.array_equal(next(FrameReader(d).blocks()), frames[:BLOCK])
+        assert np.array_equal(load_frames(d).frames, frames)
+        # a "#" inside a field is part of it, not a comment
+        (d / "frame_0004.pgm").write_bytes(pgm_bytes(frames[4], b"#x\nP5#y\n6 4 300\n"))
+        with pytest.raises(MalformedFile, match=re.escape(
+                "frame_0004.pgm (byte 0): not a binary PGM (magic b'P5#y')")):
+            load_frames(d)
+
+    @pytest.mark.parametrize("header", [b"P5\n6 4\n65535\n", b"P5\n6  4\n65535\n"],
+                             ids=["odd-length", "even-length"])
+    def test_unaligned_raster_and_trailing_bytes(self, tmp_path, monkeypatch, header):
+        small_blocks(monkeypatch)
+        frames = np.random.default_rng(2).integers(0, 65536, (5, 4, 6), dtype=np.uint16)
+        d = write_stack(tmp_path / "stack", frames, "pgm", {"bit_depth": 16})
+        for j in (1, 3):
+            (d / f"frame_{j:04d}.pgm").write_bytes(pgm_bytes(frames[j], header, tail=b"\x07" * 5))
+        assert np.array_equal(load_frames(d).frames, frames)
+        out = np.empty((4, 6), dtype=np.uint16)
+        assert read_pgm(d / "frame_0001.pgm", out=out) is out
+        assert np.array_equal(out, frames[1])
+
+    def test_read_into_a_frame_of_another_shape(self, tmp_path):
+        path = tmp_path / "frame.pgm"
+        write_pgm(path, np.ones((4, 6), dtype=np.uint16))
+        out = np.zeros((4, 7), dtype=np.uint16)
+        with pytest.raises(InconsistentDimensions,
+                           match=re.escape(f"{path}: frame shape (4, 6) does not match (4, 7)")):
+            read_pgm(path, out=out)
+        assert not out.any()
+
+    # frame k holds a 13-bit value in a 12-bit stack; frame k + 1 is bad too
+    @pytest.mark.parametrize("k", [3, 2], ids=["same-block", "across-blocks"])
+    @pytest.mark.parametrize("second", ["shape", "truncated", "missing", "pixel"])
+    def test_first_bad_frame_is_named(self, tmp_path, monkeypatch, k, second):
+        small_blocks(monkeypatch)
+        frames = [np.zeros((4, 6), dtype=np.uint16) for _ in range(8)]
+        frames[k][1, 1] = 5000
+        if second == "shape":
+            frames[k + 1] = np.zeros((4, 7), dtype=np.uint16)
+        elif second == "pixel":
+            frames[k + 1][0, 0] = 65535
+        d = write_stack(tmp_path / "stack", frames, "pgm", {"bit_depth": 12})
+        if second == "truncated":
+            (d / f"frame_{k + 1:04d}.pgm").write_bytes(b"P5\n6 4\n65535\n\x00")
+        elif second == "missing":
+            (d / f"frame_{k + 1:04d}.pgm").unlink()
+        named = re.escape(f"frame_{k:04d}.pgm: pixel values exceed the 12-bit range")
+        with pytest.raises(MalformedFile, match=named):
+            load_frames(d)
+        with pytest.raises(MalformedFile, match=named):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    @pytest.mark.parametrize("k", [3, 2], ids=["same-block", "across-blocks"])
+    def test_shape_error_before_a_pixel_error(self, tmp_path, monkeypatch, k):
+        small_blocks(monkeypatch)
+        frames = [np.zeros((4, 6), dtype=np.uint16) for _ in range(8)]
+        frames[k] = np.zeros((5, 6), dtype=np.uint16)
+        frames[k + 1][1, 1] = 5000
+        d = write_stack(tmp_path / "stack", frames, "pgm", {"bit_depth": 12})
+        with pytest.raises(InconsistentDimensions, match=f"frame_{k:04d}.pgm: frame shape"):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    def test_first_pixel_error_message_in_a_block(self, tmp_path, monkeypatch):
+        small_blocks(monkeypatch, "csv")
+        # a block holding a too-large value and, later, a NaN fails on the
+        # NaN first; the frame-by-frame message names the earlier frame
+        frames = [np.ones((4, 6)) for _ in range(BLOCK)]
+        frames[1][0, 0] = 70000.0
+        frames[2][0, 0] = np.nan
+        d = write_stack(tmp_path / "stack", frames, "csv", {"bit_depth": 16})
+        with pytest.raises(MalformedFile,
+                           match=re.escape("frame_0001.csv: pixel values exceed the 16-bit range")):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    def test_paths_match_pathlib_joins(self, tmp_path, monkeypatch):
+        frames = [np.zeros((4, 6), dtype=np.uint16)] * 2
+        d = write_stack(tmp_path / "stack", frames, "pgm", {})
+        (d / "sub").mkdir()
+        for name in ("sub/frame_0000.pgm", "..x.pgm", "frame_0001.pgm"):
+            write_pgm(d / name, frames[0])
+        names = ["./frame_0000.pgm", "sub//frame_0000.pgm", "..x.pgm", "frame_0001.pgm",
+                 str(d / "frame_0001.pgm")]
+        manifest = json.loads((d / "manifest.json").read_text())
+        (d / "manifest.json").write_text(json.dumps({**manifest, "frames": names}))
+        monkeypatch.chdir(d)
+        for where in (".", "manifest.json", str(d), "../stack"):
+            parent = Path(where).parent if where.endswith(".json") else Path(where)
+            assert FrameReader(where).paths == [str(parent / name) for name in names]

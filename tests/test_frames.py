@@ -635,3 +635,66 @@ class TestFrameStackInvariants:
                                  pixel_to_phase=0.1)
         assert series.n_frames == 5
         assert series.width == 30
+
+
+def reference_series(frames, roi, full_scale):
+    """Profiles and saturation count of a frame-by-frame float64 reduction."""
+    crops = [f[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width] for f in frames]
+    profiles = np.array([c.mean(axis=0, dtype=np.float64) for c in crops])
+    saturated = 0 if full_scale is None else sum(int(np.count_nonzero(c == full_scale))
+                                                 for c in crops)
+    return profiles, saturated
+
+
+class TestRoiAverageBits:
+    """Block reductions give the bits of a frame-by-frame float64 mean."""
+
+    @pytest.mark.parametrize("bit_depth, fmt", [(16, "pgm"), (12, "pgm"), (24, "csv"),
+                                                (None, "csv")],
+                             ids=["uint16", "12-bit", "uint32", "float"])
+    @pytest.mark.parametrize("roi", [RoiSpec(0, 0, 40, 9, 20), RoiSpec(3, 2, 31, 5, 11)],
+                             ids=["full-height", "offset"])
+    @pytest.mark.parametrize("budget", [None, 3], ids=["default-blocks", "3-frame-blocks"])
+    def test_matches_frame_by_frame_mean(self, tmp_path, monkeypatch, bit_depth, fmt, roi,
+                                         budget):
+        from icfsim.frameio import FrameReader, save_frames
+
+        rng = np.random.default_rng(bit_depth or 0)
+        shape = (10, 9, 40)
+        if bit_depth is None:
+            frames = rng.uniform(0.0, 1e4, shape)
+        else:
+            frames = rng.integers(0, 2 ** bit_depth, shape).astype(
+                np.uint16 if bit_depth <= 16 else np.uint32)
+            frames[4] = 2 ** bit_depth - 1  # a full-scale frame
+            frames[7, :, 5] = 2 ** bit_depth - 1
+        if budget:
+            itemsize = 8 if fmt == "csv" else 2
+            monkeypatch.setattr(frames_module, "_BLOCK_BYTES", budget * frames[0].size * itemsize)
+        stack = FrameStack(frames=frames, fringe_period_px=8.0,
+                           metadata={"bit_depth": bit_depth})
+        reader = FrameReader(save_frames(stack, tmp_path / "stack", fmt=fmt))
+        profiles, saturated = reference_series(frames, roi, 2 ** bit_depth - 1
+                                               if bit_depth else None)
+        for source in (stack, reader):
+            series = roi_average(source, roi)
+            assert series.profiles.tobytes() == profiles.tobytes()
+            assert series.saturated_pixels == saturated
+        assert saturated >= (roi.width * roi.height if bit_depth else 0)
+
+    # uint16 columns of 65537 full-scale rows fill uint32, of 65538 need
+    # uint64; uint32 columns of 2^21 rows stay below 2^53 and of 2^21 + 1
+    # reach it, where the sum is taken in float64
+    @pytest.mark.parametrize("dtype, rows, accumulator", [
+        (np.uint16, 65537, np.uint32), (np.uint16, 65538, np.uint64),
+        (np.uint32, 2 ** 21, np.uint64), (np.uint32, 2 ** 21 + 1, None),
+        (np.float64, 3, None),
+    ])
+    def test_accumulator_at_its_limits(self, dtype, rows, accumulator):
+        assert frames_module._sum_dtype(np.dtype(dtype), rows) is accumulator
+        full = 7.0 if dtype == np.float64 else np.iinfo(dtype).max
+        frames = np.full((1, rows, 1), full, dtype=dtype)
+        frames[0, ::3] -= 1
+        roi = RoiSpec(0, 0, 1, rows, 0)
+        series = roi_average(FrameStack(frames=frames, fringe_period_px=8.0), roi)
+        assert series.profiles.tobytes() == reference_series(frames, roi, None)[0].tobytes()
