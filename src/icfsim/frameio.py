@@ -186,15 +186,6 @@ def save_frames(stack: FrameStack, directory, fmt: str = "pgm") -> Path:
     return manifest_path
 
 
-def _frame_paths(directory: Path, names: list) -> list:
-    """``str(directory / name)`` for every name.  A name without a "/" that
-    is not "" or "." is joined as text, which gives the same string without
-    a pathlib join (about 2.5 us a frame)."""
-    prefix = str(directory / "x")[:-1]
-    return [prefix + name if "/" not in name and name not in ("", ".") else str(directory / name)
-            for name in names]
-
-
 class FrameReader:
     """One pass over a stack on disk, in blocks of checked frames.
 
@@ -209,8 +200,9 @@ class FrameReader:
     match the first frame's shape (``InconsistentDimensions``), and each
     block passes ``check_pixels`` on its values as read (``MalformedFile``
     naming the frame file) before a bit-depth-limited stack is cast to its
-    integer dtype.  Errors come in stack order: a bad frame is named before
-    any later frame is looked at, as if the frames were read one by one.
+    integer dtype.  Errors come as if the frames were read and checked one
+    by one: a bad frame is named before any later frame is looked at, and a
+    frame of another shape is named for a bad pixel before its shape.
     """
 
     def __init__(self, path, fringe_period_px: float | None = None):
@@ -245,7 +237,7 @@ class FrameReader:
             dtype, full_scale = pixel_format(self.metadata.get("bit_depth"))
         except BadOptics as exc:
             raise MalformedFile(manifest_path, str(exc)) from None
-        self.paths = _frame_paths(manifest_path.parent, names)
+        self.paths = [manifest_path.parent / name for name in names]
         self._first = self._decode(self.paths[0])
         self._check(self._first[None], self.paths[:1])
         self.shape = self._first.shape
@@ -294,12 +286,16 @@ class FrameReader:
                 for read, (row, path) in enumerate(zip(block, paths)):
                     if start + read:  # the first frame was read on construction
                         self._decode(path, row)
-                read = len(paths)
-            finally:
-                # the frames before one that failed to read are checked
-                # first, so that a bad pixel among them is named instead
+            except Exception as exc:
+                # as if the frames were read one by one: the frames before the
+                # one that failed are checked first, and a frame of another
+                # shape has its own pixels checked before its shape is named
                 if read:
                     self._check(block[:read], paths[:read])
+                if isinstance(exc, InconsistentDimensions):
+                    self._check(self._decode(paths[read])[None], paths[read:read + 1])
+                raise
+            self._check(block, paths)
             if cast is not raw:
                 cast[:len(paths)] = block
             yield cast[:len(paths)]

@@ -396,8 +396,7 @@ def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
             crop.mean(axis=1, dtype=np.float64, out=out)
         else:
             np.divide(crop.sum(axis=1, dtype=accumulator), roi.height, out=out)
-        # checked pixels never exceed full scale, so a lower maximum counts none
-        if full_scale is not None and crop.max() == full_scale:
+        if full_scale is not None:
             saturated += int(np.count_nonzero(crop == full_scale))
         start += len(block)
     return ProcessedSeries(profiles=profiles,

@@ -504,17 +504,19 @@ class TestBlocks:
                            match=re.escape("frame_0001.csv: pixel values exceed the 16-bit range")):
             roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
 
-    def test_paths_match_pathlib_joins(self, tmp_path, monkeypatch):
-        frames = [np.zeros((4, 6), dtype=np.uint16)] * 2
-        d = write_stack(tmp_path / "stack", frames, "pgm", {})
-        (d / "sub").mkdir()
-        for name in ("sub/frame_0000.pgm", "..x.pgm", "frame_0001.pgm"):
-            write_pgm(d / name, frames[0])
-        names = ["./frame_0000.pgm", "sub//frame_0000.pgm", "..x.pgm", "frame_0001.pgm",
-                 str(d / "frame_0001.pgm")]
-        manifest = json.loads((d / "manifest.json").read_text())
-        (d / "manifest.json").write_text(json.dumps({**manifest, "frames": names}))
-        monkeypatch.chdir(d)
-        for where in (".", "manifest.json", str(d), "../stack"):
-            parent = Path(where).parent if where.endswith(".json") else Path(where)
-            assert FrameReader(where).paths == [str(parent / name) for name in names]
+    @pytest.mark.parametrize("fmt, value", [("pgm", 5000), ("csv", 5000.5)])
+    @pytest.mark.parametrize("k", [4, 3, 1], ids=["mid-block", "block-start", "first-block"])
+    def test_pixels_of_a_frame_of_another_shape_come_first(self, tmp_path, monkeypatch,
+                                                           fmt, value, k):
+        # a frame of another shape that also holds a bad pixel is named for
+        # its pixels, as when each frame was checked as it was read
+        small_blocks(monkeypatch, fmt)
+        frames = [np.zeros((4, 6)) for _ in range(8)]
+        frames[k] = np.zeros((4, 7))
+        frames[k][2, 5] = value
+        d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": 12})
+        named = re.escape(f"frame_{k:04d}.{fmt}: pixel values exceed the 12-bit range")
+        with pytest.raises(MalformedFile, match=named):
+            load_frames(d)
+        with pytest.raises(MalformedFile, match=named):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
