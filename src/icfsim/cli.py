@@ -70,6 +70,10 @@ _DEFAULT_SCHEME = {2: "symmetric_opposite", 3: "symmetric_opposite",
 # Smallest accepted value of each integer option, checked once for flags and
 # config files alike.
 _MINIMUM = {"seed": 0, "grid_points": 1, "frames": 1, "frame_width": 1, "frame_height": 1}
+# The largest size or count numpy can index, checked likewise: a larger one
+# ends in numpy's ValueError rather than a message.
+_MAXIMUM = dict.fromkeys(("samples", "batches", "trials", "grid_points", "frames",
+                          "frame_width", "frame_height"), int(np.iinfo(np.intp).max))
 
 
 def _workers() -> int:
@@ -224,7 +228,7 @@ def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
     subcommand is a usage error; a config value of another type than its
     flag takes (null only where the default is null), outside the flag's
     choices or refused by its type function, is a data error, as is any
-    option below its ``_MINIMUM``.
+    option below its ``_MINIMUM`` or above its ``_MAXIMUM``.
     """
     args = parser.parse_args(argv)
     if args.config:
@@ -255,6 +259,10 @@ def _resolve(parser: argparse.ArgumentParser, argv=None) -> dict:
     for key, low in _MINIMUM.items():
         if opts.get(key) is not None and opts[key] < low:
             raise IcfSimError(f"{key.replace('_', '-')} must be at least {low}, "
+                              f"got {opts[key]}")
+    for key, high in _MAXIMUM.items():
+        if opts.get(key) is not None and opts[key] > high:
+            raise IcfSimError(f"{key.replace('_', '-')} must be at most {high}, "
                               f"got {opts[key]}")
     return opts
 

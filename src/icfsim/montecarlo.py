@@ -21,7 +21,9 @@ inline) and merges them in order: results do not depend on workers.
 Batches of fewer than ``2 * _TASK_SAMPLES`` samples run inline, as their
 numpy calls are too short to overlap on two threads.  Each thread reuses
 its work buffers from task to task within a call, so batches do not fault
-in fresh memory; the buffers go when the call returns.
+in fresh memory; the buffers go when the call returns.  The scratch of the
+trig kernel ``sources.cos_sin`` is carved from buffers that are idle while
+it runs, so it adds next to no memory.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .sources import (  # noqa: F401
     rng_from_seed,
     sample_batch,
     spawn_seeds,
+    trig_scratch,
 )
 
 # Samples per pool task: large enough that numpy's per-call overhead is
@@ -65,20 +68,25 @@ class IcfEstimate:
     n_batches: int
 
 
-def _workspace(work, count: int, shape: tuple) -> list[np.ndarray]:
-    """``count`` arrays of ``shape``, kept in ``work`` (a ``threading.local``,
-    or None) for the calling thread's next task and made anew for another
-    shape.  Separate arrays, not one block, so that a scan's small arrays
-    come from memory the allocator already holds.
+def _workspace(work, count: int, shape: tuple) -> tuple[list, list]:
+    """``count`` arrays of ``shape``, and ``cos_sin`` scratch for one of
+    them: views of all but the first four (which hold the draws and the
+    amplitude, live during the trig step), and new arrays for what does not
+    fit there.  Both are kept in ``work`` (a ``threading.local``, or None)
+    for the calling thread's next task and made anew for another shape.
+    Separate arrays, not one block, so that a scan's small arrays come from
+    memory the allocator already holds.
     """
     if work is None:
-        return [np.empty(shape) for _ in range(count)]
-    key, arrays = getattr(work, "arrays", (None, None))
+        arrays = [np.empty(shape) for _ in range(count)]
+        return arrays, trig_scratch(arrays[0].size, arrays[4:])
+    key, arrays, scratch = getattr(work, "arrays", (None, None, None))
     if key != (count, shape):
         work.arrays = None  # the old arrays are freed before new ones are made
         arrays = [np.empty(shape) for _ in range(count)]
-        work.arrays = ((count, shape), arrays)
-    return arrays
+        scratch = trig_scratch(arrays[0].size, arrays[4:])
+        work.arrays = ((count, shape), arrays, scratch)
+    return arrays, scratch
 
 
 def _draw(model: SourceModel, seeds: np.ndarray, ia, ib, theta):
@@ -95,13 +103,18 @@ def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: i
     k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
     batch's own row, so it does not depend on the run of batches.
     """
-    ia, ib, theta, amp, row, prod = _workspace(work, 6, (len(seeds), size))
+    (ia, ib, theta, amp, row, prod), scratch = _workspace(work, 6, (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
-    prod.fill(1.0)
     sums = np.empty((len(seeds), len(delta)))
-    for j, row in enumerate(detector_rows(model, delta, ia, ib, theta, amp, row)):
+    rows = detector_rows(model, delta, ia, ib, theta, amp, row, scratch)
+    for j, row in enumerate(rows):
         sums[:, j] = row.sum(axis=-1)
-        prod *= row
+        if j:
+            prod *= row
+        else:  # prod is trig scratch until now; 1.0 * row is row, bit for bit
+            np.copyto(prod, row)
+    if not len(delta):
+        prod.fill(1.0)
     return prod.sum(axis=-1), sums
 
 
@@ -118,10 +131,10 @@ def _power_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int,
     base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
     ``field_terms``, shape (batches, monomials), and of base, c and s.
     """
-    ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
-                                                             (len(seeds), size))
+    (ia, ib, theta, term, c_pow, cs_pow, *higher), scratch = _workspace(
+        work, order + 5, (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, term)
+    base, c, s = field_terms(ia, ib, theta, term, scratch)
     base_pow = [None, base]  # None: base^0
     for p in higher:
         base_pow.append(np.multiply(base_pow[-1], base, out=p))

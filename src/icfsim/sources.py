@@ -248,10 +248,11 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=No
 # cos_sin reduces theta to x = theta - k 2 pi/_NODES, |x| <= pi/_NODES, at
 # the nearest table node k (Cody-Waite: k * _STEP_HI is exact for
 # |k| < 2**29, and _STEP_LO carries the rest of 2 pi/_NODES, pi's own
-# rounding included).  It works in chunks of TRIG_CHUNK samples, with
-# TRIG_SCRATCH scratch arrays of one chunk each: large enough to spread
-# numpy's per-call overhead, small enough to stay in a core's cache.
-TRIG_CHUNK = 8192
+# rounding included).  It works in chunks, on TRIG_SCRATCH scratch arrays
+# of one chunk each that the caller owns.  Chunks of up to TRIG_CHUNK
+# samples make each of its ~30 numpy calls long enough that two threads
+# running the kernel overlap rather than wait on the interpreter lock.
+TRIG_CHUNK = 20_000
 TRIG_SCRATCH = 5
 _NODES = 256
 _PI_LO = 1.2246467991473532e-16  # pi - np.pi
@@ -285,28 +286,40 @@ def _node_tables():
 _COS_HI, _COS_LO, _SIN_HI, _SIN_LO = _node_tables()
 
 
-def cos_sin(theta, cos, sin):
+def trig_scratch(size: int, spare=()) -> list[np.ndarray]:
+    """``cos_sin`` scratch for arrays of ``size`` elements: TRIG_SCRATCH
+    arrays of min(size, TRIG_CHUNK) elements (at least one), as many as fit
+    carved as views from the C-contiguous float arrays ``spare``, the rest
+    new.  The caller keeps ``spare`` unused while ``cos_sin`` runs.
+    """
+    chunk = max(1, min(size, TRIG_CHUNK))
+    views = [a.reshape(-1)[i:i + chunk] for a in spare
+             for i in range(0, a.size - chunk + 1, chunk)][:TRIG_SCRATCH]
+    return views + [np.empty(chunk) for _ in range(TRIG_SCRATCH - len(views))]
+
+
+def cos_sin(theta, cos, sin, scratch):
     """Write cos(theta) into ``cos`` and sin(theta) into ``sin``.
 
     The arrays are C-contiguous and of one shape; ``sin`` may be ``theta``
-    itself.  With C and S the cos and sin at the node and x as above,
-    cos theta = C + (C (cos x - 1) - S sin x) and sin theta =
+    itself.  ``scratch`` is TRIG_SCRATCH 1-D float arrays of one length,
+    the chunk (``trig_scratch`` makes them); they are overwritten, and the
+    kernel allocates nothing.  With C and S the cos and sin at the node and
+    x as above, cos theta = C + (C (cos x - 1) - S sin x) and sin theta =
     S + (S (cos x - 1) + C sin x), with Taylor polynomials to x^6 and x^5.
     For |theta| <= 1e4 the error against numpy's cos and sin is at most
     2**-52 (it is tested there; the reduction stays exact to |theta| of
-    about 1e7), and a value does not depend on the array it sits in.
-    Each call makes its own TRIG_SCRATCH scratch arrays of TRIG_CHUNK
-    elements, whatever the size of ``theta``.  The numpy calls take
-    positional ``out`` arrays and 0-d constants, which shortens the
-    interpreter-lock time between them that threads running this kernel
-    share.
+    about 1e7), and a value depends neither on the array it sits in nor on
+    the chunk.  The numpy calls take positional ``out`` arrays and 0-d
+    constants, which shortens the interpreter-lock time between them that
+    threads running this kernel share.
     """
-    scratch = [np.empty(TRIG_CHUNK) for _ in range(TRIG_SCRATCH)]
     mul, add, sub, K = np.multiply, np.add, np.subtract, _K
+    chunk = len(scratch[0])
     flat = [a.reshape(-1) for a in (theta, cos, sin)]
-    for start in range(0, theta.size, TRIG_CHUNK):
-        t, co, si = (a[start:start + TRIG_CHUNK] for a in flat)
-        k, x, x2, c, s = scratch if len(t) == TRIG_CHUNK else [a[:len(t)] for a in scratch]
+    for start in range(0, theta.size, chunk):
+        t, co, si = (a[start:start + chunk] for a in flat)
+        k, x, x2, c, s = scratch if len(t) == chunk else [a[:len(t)] for a in scratch]
         add(mul(t, K["to_node"], k), K["shift"], k)
         node = np.bitwise_and(k.view(np.int64), K["mask"], x2.view(np.int64))
         _COS_LO.take(node, out=co, mode="clip")
@@ -330,20 +343,21 @@ def cos_sin(theta, cos, sin):
     return cos, sin
 
 
-def field_terms(ia, ib, theta, amp):
+def field_terms(ia, ib, theta, amp, scratch):
     """base = Ia + Ib, c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib)
     sin(theta), written over ``ia``, ``ib`` and ``theta`` and returned in
     that order; ``amp`` is left holding 2 sqrt(Ia Ib).  cos and sin come
-    from ``cos_sin`` (within 2**-52 of numpy's for |theta| <= 1e4).
+    from ``cos_sin`` (within 2**-52 of numpy's for |theta| <= 1e4), which
+    overwrites the arrays ``scratch`` and nothing else.
     """
     np.sqrt(np.multiply(ia, ib, out=amp), out=amp)
     amp *= 2.0
     np.add(ia, ib, out=ia)
-    cos_sin(theta, ib, theta)
+    cos_sin(theta, ib, theta, scratch)
     return ia, np.multiply(ib, amp, out=ib), np.multiply(theta, amp, out=theta)
 
 
-def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row):
+def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row, scratch):
     """Yield the instantaneous intensity at each detector in turn.
 
     I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j), where E_j is the
@@ -354,11 +368,13 @@ def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row):
     draws ``ia``, ``ib`` and ``theta`` and the scratch arrays ``amp`` and
     ``row`` all have one shape; the draws and ``amp`` are overwritten, and
     every row is written into ``row``: use a row before asking for the
-    next.
+    next.  ``scratch`` is ``cos_sin``'s, used before the first row is
+    written; it may be carved from ``row`` or from arrays that are only
+    written once the first row is out.
     """
     delta = np.asarray(delta, dtype=float)
     env = coherence_envelope(model, delta)
-    base, c, s = field_terms(ia, ib, theta, amp)
+    base, c, s = field_terms(ia, ib, theta, amp, scratch)
     for kc, ks in zip(env * np.cos(delta), env * np.sin(delta)):
         np.multiply(c, kc, out=row)
         row += base
@@ -376,6 +392,7 @@ def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray
     # copies of the draws, and scratch for amp and row: the inputs stay unchanged
     work = np.array([ia, ib, theta, theta, theta], dtype=float)
     out = np.empty((len(delta),) + work.shape[1:])
-    for j, row in enumerate(detector_rows(model, delta, *work)):
+    scratch = trig_scratch(work[0].size, [out])  # out is written after the trig step
+    for j, row in enumerate(detector_rows(model, delta, *work, scratch)):
         out[j] = row
     return out

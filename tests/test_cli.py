@@ -8,6 +8,7 @@ import pytest
 from icfsim import SourceModel, estimate_scan, read_pattern_csv, read_pattern_json
 import icfsim.cli as cli
 from icfsim.cli import main
+from icfsim.errors import IcfSimError
 
 
 def run(capsys, *argv):
@@ -733,6 +734,46 @@ class TestOutOfRangeIntegers:
                    for action in cli._command_parser(parser, command)._actions
                    if action.option_strings and action.type is int}
         assert set(cli._MINIMUM) <= options
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--samples", str(10 ** 23)],
+        ["mc", "--grid-points", str(10 ** 23)],
+        ["synth", "--frames", str(10 ** 23)],
+        ["synth", "--frames", "2", "--frame-width", str(10 ** 20)],
+    ], ids=["mc-samples", "mc-grid", "synth-frames", "synth-width"])
+    def test_size_beyond_index_range_exit_1(self, tmp_path, capsys, argv):
+        code, text, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error:") and argv[-2].lstrip("-") in err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_file_size_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"samples": 10 ** 23}))
+        code, text, err = run(capsys, "mc", "--config", str(config),
+                              "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert text == "" and err.startswith("error:") and "samples" in err
+
+    @pytest.mark.parametrize("key", list(cli._MAXIMUM))
+    def test_maximum_is_numpy_index_range(self, key):
+        # options are resolved, not run: no value here is allocated
+        command = {"trials": "verify", "frames": "synth", "frame_width": "synth",
+                   "frame_height": "synth"}.get(key, "mc")
+        top = np.iinfo(np.intp).max
+        flag = "--" + key.replace("_", "-")
+        parser = cli.build_parser()
+        assert cli._resolve(parser, [command, flag, str(top)])[key] == top
+        with pytest.raises(IcfSimError, match=f"{flag[2:]} must be at most {top}"):
+            cli._resolve(parser, [command, flag, str(top + 1)])
+
+    def test_every_maximum_names_an_integer_option(self):
+        parser = cli.build_parser()
+        options = {action.dest for command in cli._COMMANDS
+                   for action in cli._command_parser(parser, command)._actions
+                   if action.option_strings and action.type is int}
+        assert set(cli._MAXIMUM) <= options
 
     def test_config_file_seed_is_checked(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from icfsim import (
     scan,
 )
 from icfsim.errors import BadBatching, CustomModelNotSamplable
-from icfsim.sources import sample_batch
+from icfsim.sources import sample_batch, spawn_seeds
 
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
@@ -545,6 +548,60 @@ class TestWorkBuffers:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         # a batch's array of 40 000 doubles spans 78 pages
         assert faults < 64 * 50
+
+
+# The first 16 hex digits of the sha256 of the bytes that _task_sums (at
+# TASK_DELTAS) and _power_sums (orders 3 and 4) return, at the batches of
+# spawn_seeds(29, batches), as (task 4, task 3, power 3, power 4); made while
+# sources.cos_sin allocated its own scratch of 8192 samples on every call.
+# A row of 50 000 samples takes two and a half trig chunks, one of
+# 16 x 1000 is shorter than a chunk and one of 3 x 7001 a chunk and a part.
+PINNED_TASK_SUMS = {
+    ("thermal-width", 1, 50000): ("ccb881b82c19bfdd", "3dadc8e9cf701ef0",
+                                  "736f68c67e108848", "1d39a6af60e8438c"),
+    ("thermal-width", 16, 1000): ("8d0aa49c5bb3dc9d", "965fc7406a56b7a8",
+                                  "db4fd07a9443c771", "4d0151284da28c77"),
+    ("thermal-width", 3, 7001): ("70d2de7d898afccf", "95d327bdb1ee29cd",
+                                 "eaffe5ba37b363f8", "3493ae766b9b06ec"),
+    ("coherent", 1, 50000): ("4a0ec68982057064", "6a7f3952cb6487af",
+                             "5a795b9c0047ae8a", "593c3f66d38f9685"),
+    ("coherent", 16, 1000): ("79417fe72455f5aa", "ba8cc0c23bd0e521",
+                             "b0047a25ee1e77f9", "fdd62013250adcd7"),
+    ("coherent", 3, 7001): ("d5a71de8bded58a4", "7981ec7ae09cb85c",
+                            "1b1c1f6c2dc6b57d", "fce48b8afff4ce59"),
+}
+TASK_MODELS = {"thermal-width": THERMAL_W, "coherent": COHERENT}
+TASK_DELTAS = (np.array([0.9, 0.0, -0.9, 1.7]), np.array([0.4, 0.0, -0.4]))
+
+
+def sums_digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestCarvedScratch:
+    """The trig kernel's scratch is carved from task buffers that are idle
+    while it runs; no view of them may alias an array still in use."""
+
+    @pytest.mark.parametrize("case", list(PINNED_TASK_SUMS), ids=lambda c: "-".join(map(str, c)))
+    def test_task_sums_match_pinned_bits(self, case):
+        from icfsim.montecarlo import _power_sums, _task_sums
+        name, batches, size = case
+        model, seeds = TASK_MODELS[name], spawn_seeds(29, batches)
+        kernels = [partial(_task_sums, model, delta) for delta in TASK_DELTAS]
+        kernels += [partial(_power_sums, model, order) for order in (3, 4)]
+        for kernel, pinned in zip(kernels, PINNED_TASK_SUMS[case], strict=True):
+            work = threading.local()
+            # new buffers, a thread's new buffers, then that thread's reused ones
+            for w in (None, work, work):
+                assert sums_digest(kernel(seeds, size, w)) == pinned
+
+    def test_no_detectors(self):
+        from icfsim.montecarlo import _task_sums
+        prod, sums = _task_sums(THERMAL, np.empty(0), spawn_seeds(3, 2), 1000)
+        assert prod.tolist() == [1000.0, 1000.0] and sums.shape == (2, 0)
 
 
 class TestRepin:

@@ -30,6 +30,7 @@ from icfsim.sources import (
     detector_intensities,
     rng_from_seed,
     spawn_seeds,
+    trig_scratch,
 )
 
 
@@ -326,9 +327,13 @@ class TestDetectorIntensities:
             assert np.array_equal(before, after)
 
 
-def kernel(theta):
+def kernel(theta, chunk=None):
+    """cos_sin of ``theta`` into new arrays, on scratch of ``chunk``
+    elements (by default ``trig_scratch``'s)."""
     theta = np.asarray(theta, dtype=float)
-    return cos_sin(theta, np.empty_like(theta), np.empty_like(theta))
+    scratch = (trig_scratch(theta.size) if chunk is None
+               else [np.empty(chunk) for _ in range(TRIG_SCRATCH)])
+    return cos_sin(theta, np.empty_like(theta), np.empty_like(theta), scratch)
 
 
 def assert_kernel_matches_numpy(theta):
@@ -355,7 +360,7 @@ class TestCosSin:
         assert (c[0], s[0]) == (1.0, 0.0)
 
     def test_value_independent_of_chunk_boundaries(self):
-        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 20_001)
+        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 2 * TRIG_CHUNK + 1001)
         assert len(theta) > 2 * TRIG_CHUNK
         c, s = kernel(theta)
         for i in (0, 1, TRIG_CHUNK - 1, TRIG_CHUNK, 2 * TRIG_CHUNK + 3, len(theta) - 1):
@@ -366,20 +371,41 @@ class TestCosSin:
         theta = np.random.default_rng(23).random((3, 5000)) * 2 * np.pi
         c, s = kernel(theta)
         cos = np.empty_like(theta)
-        cos_sin(theta, cos, theta)
+        cos_sin(theta, cos, theta, trig_scratch(theta.size))
         assert np.array_equal(cos, c) and np.array_equal(theta, s)
 
-    @pytest.mark.parametrize("size", [10, 3 * TRIG_CHUNK + 1, 400_000])
+    @pytest.mark.parametrize("chunk", [1, 7, 8192, 20_000, 50_001])
+    def test_value_independent_of_scratch_length(self, chunk):
+        theta = np.random.default_rng(25).uniform(-20.0, 20.0, 50_000)
+        c, s = kernel(theta)
+        one_c, one_s = kernel(theta, chunk)
+        assert np.array_equal(one_c, c) and np.array_equal(one_s, s)
+
+    # below one chunk, a chunk and a part, many chunks
+    @pytest.mark.parametrize("size", [10, 24_577, 400_000])
     def test_scratch_does_not_grow_with_size(self, size):
         theta = np.random.default_rng(24).random(size) * 2 * np.pi
         cos, sin = np.empty_like(theta), np.empty_like(theta)
+        scratch = trig_scratch(size)
         tracemalloc.start()
         try:
-            cos_sin(theta, cos, sin)
+            cos_sin(theta, cos, sin, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= TRIG_SCRATCH * TRIG_CHUNK * 8 + 16 * 1024
+        # the views the loop takes of its arrays, and no array data: the
+        # last chunk of 24 577 samples alone is 36 kB of doubles
+        assert peak <= 4096
+
+    def test_scratch_carved_from_spare_arrays(self):
+        spare = [np.empty((2, 15_000)), np.empty(TRIG_CHUNK - 1)]
+        scratch = trig_scratch(10 ** 6, spare)
+        assert [a.shape for a in scratch] == [(TRIG_CHUNK,)] * TRIG_SCRATCH
+        # one chunk fits in the first array's 30 000 elements, none in the second
+        assert np.shares_memory(scratch[0], spare[0])
+        assert not any(np.shares_memory(a, b) for a in scratch[1:] for b in spare)
+        assert [len(a) for a in trig_scratch(5, spare)] == [5] * TRIG_SCRATCH
+        assert [len(a) for a in trig_scratch(0)] == [1] * TRIG_SCRATCH
 
 
 class TestSerialization:
