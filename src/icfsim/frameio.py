@@ -11,10 +11,9 @@ comma-separated values per pixel row.  Integer stacks round-trip losslessly
 through either format.
 
 ``FrameReader`` reads a stack in blocks of about 1 MB of pixels
-(``frames.block_frames``), decoding each frame file straight into one
-reused block array and checking the pixels once per block, so reading a
-stack to reduce it, as ``process`` does, holds one block of it at a time.
-``load_frames`` fills a whole-stack array from the same blocks.
+(``frames.block_frames``), so ``process`` holds one block at a time.  A good
+block is decoded once and checked once; a block that fails is re-read frame
+by frame.  ``load_frames`` fills a whole-stack array from the same blocks.
 """
 
 from __future__ import annotations
@@ -167,14 +166,10 @@ def save_frames(stack: FrameStack, directory, fmt: str = "pgm") -> Path:
         raise ValueError(f"format must be 'pgm' or 'csv', got {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for j in range(stack.n_frames):
-        name = _frame_name(j, stack.n_frames, fmt)
-        if fmt == "pgm":
-            write_pgm(directory / name, stack.frames[j])
-        else:
-            write_frame_csv(directory / name, stack.frames[j])
-        names.append(name)
+    names = [_frame_name(j, stack.n_frames, fmt) for j in range(stack.n_frames)]
+    write = write_pgm if fmt == "pgm" else write_frame_csv
+    for name, frame in zip(names, stack.frames):
+        write(directory / name, frame)
     manifest = {
         "format": fmt,
         "fringe_period_px": stack.fringe_period_px,
@@ -196,13 +191,14 @@ class FrameReader:
     over the manifest value.  ``blocks()`` yields every frame in manifest
     order, ``frames.block_frames`` frames at a time (about 1 MB of pixels,
     at least one frame), decoded into one array that every block reuses, so
-    the reader holds one block of the stack at a time.  Each frame must
-    match the first frame's shape (``InconsistentDimensions``), and each
-    block passes ``check_pixels`` on its values as read (``MalformedFile``
-    naming the frame file) before a bit-depth-limited stack is cast to its
-    integer dtype.  Errors come as if the frames were read and checked one
-    by one: a bad frame is named before any later frame is looked at, and a
-    frame of another shape is named for a bad pixel before its shape.
+    the reader holds one block of the stack at a time.  A good block is
+    decoded once and checked once, before a bit-depth-limited stack is cast
+    to its integer dtype; a block that fails is re-read frame by frame
+    through ``_read``, the one rule for which error a stack raises: each
+    frame, decoded on its own, passes ``check_pixels`` on its values as read
+    (``MalformedFile`` naming the frame file) and then must match the first
+    frame's shape (``InconsistentDimensions``).  So the first bad frame is
+    named, and for its pixels before its shape.
     """
 
     def __init__(self, path, fringe_period_px: float | None = None):
@@ -238,13 +234,17 @@ class FrameReader:
         except BadOptics as exc:
             raise MalformedFile(manifest_path, str(exc)) from None
         self.paths = [manifest_path.parent / name for name in names]
-        self._first = self._decode(self.paths[0])
-        self._check(self._first[None], self.paths[:1])
+        self._first = self._read(self.paths[0])
         self.shape = self._first.shape
         self.dtype = self._first.dtype if full_scale is None else np.dtype(dtype)
         period = period if fringe_period_px is None else fringe_period_px
         if period is None:
-            period = estimate_fringe_period(self._first)
+            try:
+                period = estimate_fringe_period(self._first)
+            except ValueError:  # too few pixel columns for a spectral peak
+                raise MalformedFile(manifest_path, f"no fringe_period_px, and frames "
+                                    f"{self.shape[1]} px wide are too narrow to estimate "
+                                    "one; pass --period-px") from None
         self.fringe_period_px = float(period)
         check_period(self.fringe_period_px)
 
@@ -256,19 +256,15 @@ class FrameReader:
         # read_pgm is looked up at each call, so that a wrapped one is used
         return (read_pgm if self._format == "pgm" else read_frame_csv)(path, out)
 
-    def _check(self, frames: np.ndarray, paths: list) -> None:
-        """``check_pixels`` on frames as read, as MalformedFile naming the
-        first bad frame."""
-        bit_depth = self.metadata.get("bit_depth")
+    def _read(self, path, out=None) -> np.ndarray:
+        """The frame at ``path``, decoded on its own and checked: a bad
+        pixel raises MalformedFile naming ``path``; ``out`` as for ``_into``."""
+        frame = self._decode(path)
         try:
-            check_pixels(frames, bit_depth)
-        except ValueError:
-            for frame, path in zip(frames, paths):
-                try:
-                    check_pixels(frame, bit_depth)
-                except ValueError as exc:
-                    raise MalformedFile(path, str(exc)) from None
-            raise  # not reached: every check is per pixel, so some frame fails
+            check_pixels(frame, self.metadata.get("bit_depth"))
+        except ValueError as exc:
+            raise MalformedFile(path, str(exc)) from None
+        return _into(path, frame, out)
 
     def blocks(self):
         """Yield the frames in blocks of shape (k, height, width) and dtype
@@ -281,21 +277,15 @@ class FrameReader:
         for start in range(0, self.n_frames, size):
             paths = self.paths[start:start + size]
             block = raw[:len(paths)]
-            read = 0
             try:
-                for read, (row, path) in enumerate(zip(block, paths)):
-                    if start + read:  # the first frame was read on construction
+                for index, (row, path) in enumerate(zip(block, paths), start):
+                    if index:  # the first frame was read on construction
                         self._decode(path, row)
-            except Exception as exc:
-                # as if the frames were read one by one: the frames before the
-                # one that failed are checked first, and a frame of another
-                # shape has its own pixels checked before its shape is named
-                if read:
-                    self._check(block[:read], paths[:read])
-                if isinstance(exc, InconsistentDimensions):
-                    self._check(self._decode(paths[read])[None], paths[read:read + 1])
+                check_pixels(block, self.metadata.get("bit_depth"))
+            except Exception:
+                for row, path in zip(block, paths):
+                    self._read(path, row)
                 raise
-            self._check(block, paths)
             if cast is not raw:
                 cast[:len(paths)] = block
             yield cast[:len(paths)]

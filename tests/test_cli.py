@@ -425,6 +425,24 @@ class TestFramesCli:
         assert err == "error: fringe_period_px must be positive and finite, got inf\n"
         assert not list(tmp_path.glob("run*"))
 
+    def test_process_period_too_narrow_to_estimate_exit_1(self, tmp_path, capsys):
+        # ended in a ValueError traceback from frames.estimate_fringe_period
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "4", "--frame-width", "3", "--frame-height", "2",
+            "--out", str(stack_dir))
+        manifest = stack_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        del data["fringe_period_px"]
+        manifest.write_text(json.dumps(data))
+        code, text, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
+        assert (code, text) == (1, "")
+        assert err == (f"error: {manifest}: no fringe_period_px, and frames 3 px wide are too "
+                       "narrow to estimate one; pass --period-px\n")
+        assert not list(tmp_path.glob("run*"))
+        code, _, _ = run(capsys, "process", str(stack_dir), "--period-px", "2",
+                         "--out", str(tmp_path / "run"))
+        assert code == 0
+
     @pytest.mark.parametrize("edit, message", [
         ({"fringe_period_px": "abc"}, "fringe_period_px must be a number, got 'abc'"),
         ({"metadata": [1]}, "metadata must be an object or null"),

@@ -19,6 +19,7 @@ from icfsim import (
     save_frames,
     synth_frames,
 )
+import icfsim.frameio as frameio
 import icfsim.frames as frames_module
 from icfsim.cli import main
 from icfsim.errors import BadOptics, InconsistentDimensions, MalformedFile
@@ -314,6 +315,17 @@ class TestFrameReader:
         assert reader.metadata == {}
         assert reader.fringe_period_px == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_period_too_narrow_to_estimate_names_the_manifest(self, tmp_path, width):
+        # ended in frames.estimate_fringe_period's bare ValueError
+        frames = [np.arange(2 * width, dtype=np.uint16).reshape(2, width)] * 2
+        d = write_stack(tmp_path / "stack", frames, "pgm", {}, period=None)
+        with pytest.raises(MalformedFile, match=re.escape(
+                f"manifest.json: no fringe_period_px, and frames {width} px wide are too "
+                "narrow to estimate one; pass --period-px")):
+            FrameReader(d)
+        assert FrameReader(d, fringe_period_px=2.0).fringe_period_px == 2.0
+
     @pytest.mark.parametrize("fmt, bit_depth, value", [
         ("csv", 16, 70000.0),   # would wrap to 4464 if cast first
         ("csv", 16, 3.5),       # not integral
@@ -481,6 +493,49 @@ class TestBlocks:
             load_frames(d)
         with pytest.raises(MalformedFile, match=named):
             roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    # frame k fails to decode; frame k + 1 holds a 13-bit value in a 12-bit stack
+    @pytest.mark.parametrize("k", [3, 2], ids=["same-block", "across-blocks"])
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    @pytest.mark.parametrize("first", ["truncated", "missing"])
+    def test_decode_error_before_a_later_pixel_error(self, tmp_path, monkeypatch, k, fmt,
+                                                     first):
+        small_blocks(monkeypatch, fmt)
+        frames = [np.zeros((4, 6), dtype=np.uint16) for _ in range(8)]
+        frames[k + 1][1, 1] = 5000
+        d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": 12})
+        path = d / f"frame_{k:04d}.{fmt}"
+        if first == "missing":
+            path.unlink()
+            error, named = FileNotFoundError, re.escape(str(path))
+        elif fmt == "pgm":
+            path.write_bytes(b"P5\n6 4\n65535\n\x00")
+            error, named = MalformedFile, re.escape(
+                f"{path} (byte 14): truncated pixel data (expected 48 bytes, found 1)")
+        else:
+            path.write_text("0,0,0,0,0,0\n0,0,0")
+            error, named = MalformedFile, re.escape(f"{path}:2: row has 3 values, expected 6")
+        with pytest.raises(error, match=named):
+            load_frames(d)
+        with pytest.raises(error, match=named):
+            roi_average(FrameReader(d), RoiSpec(0, 0, 6, 4, 3))
+
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    def test_each_frame_decoded_once(self, tmp_path, monkeypatch, fmt):
+        small_blocks(monkeypatch, fmt)
+        frames = np.random.default_rng(5).integers(0, 4096, (2 * BLOCK + 1, 4, 6),
+                                                   dtype=np.uint16)
+        d = write_stack(tmp_path / "stack", frames, fmt, {"bit_depth": 12})
+        decoded = []
+        for name in ("read_pgm", "read_frame_csv"):
+            def counted(path, out=None, read=getattr(frameio, name)):
+                decoded.append(Path(path).name)
+                return read(path, out)
+            monkeypatch.setattr(frameio, name, counted)
+        reader = FrameReader(d)
+        assert decoded == [f"frame_0000.{fmt}"]  # the first frame, at construction
+        assert np.array_equal(np.concatenate([b.copy() for b in reader.blocks()]), frames)
+        assert decoded == [f"frame_{j:04d}.{fmt}" for j in range(len(frames))]
 
     @pytest.mark.parametrize("k", [3, 2], ids=["same-block", "across-blocks"])
     def test_shape_error_before_a_pixel_error(self, tmp_path, monkeypatch, k):
