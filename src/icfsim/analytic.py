@@ -102,8 +102,7 @@ class ScanPattern:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.order not in _SCHEME_STEPS.get(self.scheme, ORDERS):
-            raise UnsupportedOrder(self.order)
+        _check_order(self.scheme, self.order)
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0:
             raise EmptyPattern("scan grid is empty")
@@ -131,12 +130,18 @@ class ScanPattern:
         return _stack(scheme_deltas(self.order, self.scheme, self.grid, self.offset))
 
 
+def _check_order(scheme: str, order: int) -> None:
+    orders = _SCHEME_STEPS.get(scheme, ORDERS)
+    if order not in orders:
+        raise UnsupportedOrder(order, f"scheme {scheme!r} does not serve order {order!r}; "
+                                      f"its orders: {', '.join(map(str, orders))}")
+
+
 def scheme_deltas(order: int, scheme: str, x, offset: float | None = None):
     """Phase tuple for a named scheme; x may be a scalar or an array."""
     if scheme not in _SCHEME_STEPS:
         raise ValueError(f"scheme {scheme!r} has no coordinate mapping")
-    if order not in _SCHEME_STEPS[scheme]:
-        raise UnsupportedOrder(order)
+    _check_order(scheme, order)
     deltas = tuple(x * k for k in _SCHEME_STEPS[scheme][order])
     if scheme == "single_detector":
         c = math.pi / 2.0 if offset is None else offset

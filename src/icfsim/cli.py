@@ -8,10 +8,14 @@ correlation patterns).
 
 Every stochastic subcommand is deterministic given its full flag set; the
 seed defaults to 12345.  ``build_parser`` declares each option once, with
-its default.  A JSON config file (``--config``) may supply any option of
-the subcommand (keys use underscores or hyphens); each value is checked by
-its flag's own type, choices and minimum and becomes that option's default,
-so defaults < config file < explicit flags.
+its default.  ``main`` registers every subcommand, so usage and help read
+the same, but declares the options of the one it runs alone (all when the
+first argument names none).  It builds a parser per call and caches none:
+``_resolve`` makes config values its defaults.  A JSON config file
+(``--config``) may supply any option of the subcommand (keys use
+underscores or hyphens); each value is checked by its flag's own type,
+choices and minimum and becomes that option's default, so defaults <
+config file < explicit flags.
 Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
@@ -93,63 +97,50 @@ def _roi_arg(text: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="icfsim",
-        description="Multi-detector intensity interference of two classical "
-                    "sources: analytic scans, Monte Carlo estimates, frame "
-                    "synthesis and processing.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format_option(p):
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="default: the --out suffix, .csv or .json, else csv")
 
-    def add_common(p):
-        p.add_argument("--config", metavar="RUN.JSON",
-                       help="JSON file supplying option values (flags override)")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="default: the --out suffix, .csv or .json, else csv")
+def _output_options(p):
+    p.add_argument("--out", default="pattern",
+                   help="output path (or prefix for multi-file output)")
+    _format_option(p)
+    p.add_argument("--plot", metavar="SVG", help="also write an SVG plot")
 
-    def add_output(p):
-        p.add_argument("--out", default="pattern",
-                       help="output path (or prefix for multi-file output)")
-        add_format(p)
-        p.add_argument("--plot", metavar="SVG", help="also write an SVG plot")
 
-    def add_scan(name, text, grid_points):
-        p = sub.add_parser(name, help=text)
-        add_common(p)
-        p.add_argument("--kind", choices=KINDS, default="coherent")
-        p.add_argument("--coherence-width", type=float, dest="coherence_width",
-                       help="Gaussian coherence envelope width (rad)")
-        p.set_defaults(moments={})  # a custom model's table: config files only
-        p.add_argument("--order", type=int, choices=ORDERS, default=3)
-        p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
-        p.add_argument("--grid-points", type=int, dest="grid_points", default=grid_points)
-        p.add_argument("--offset", type=float, default=math.pi / 2,
-                       help="fixed third-detector phase for single-detector scans (rad)")
-        add_output(p)
-        return p
+def _analytic_options(p, grid_points=721):
+    p.add_argument("--kind", choices=KINDS, default="coherent")
+    p.add_argument("--coherence-width", type=float, dest="coherence_width",
+                   help="Gaussian coherence envelope width (rad)")
+    p.set_defaults(moments={})  # a custom model's table: config files only
+    p.add_argument("--order", type=int, choices=ORDERS, default=3)
+    p.add_argument("--scheme", choices=sorted(set(_SCHEME_NAMES)))
+    p.add_argument("--grid-points", type=int, dest="grid_points", default=grid_points)
+    p.add_argument("--offset", type=float, default=math.pi / 2,
+                   help="fixed third-detector phase for single-detector scans (rad)")
+    _output_options(p)
 
-    add_scan("analytic", "closed-form scan and visibility", grid_points=721)
 
-    p = add_scan("mc", "Monte Carlo scan with error bars", grid_points=25)
+def _mc_options(p):
+    _analytic_options(p, grid_points=25)
     p.add_argument("--samples", type=int, default=100000, help="samples per grid point")
     p.add_argument("--batches", type=int, default=100, help="batches for standard errors")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
 
-    p = sub.add_parser("limits", help="table of classical visibility limits")
-    add_common(p)
-    p.add_argument("--out")
-    add_format(p)
 
-    p = sub.add_parser("verify", help="certify closed forms against the expansion oracle")
-    add_common(p)
+def _limits_options(p):
+    p.add_argument("--out")
+    _format_option(p)
+
+
+def _verify_options(p):
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("synth", help="write a synthetic frame stack")
-    add_common(p)
+
+def _synth_options(p):
     p.add_argument("--kind", choices=("coherent", "thermal"), default="coherent")
     p.add_argument("--frames", type=int, default=500, help="number of single-pulse frames")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -177,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm",
                    help="frame file format")
 
-    p = sub.add_parser("process", help="process a frame stack into patterns")
-    add_common(p)
+
+def _process_options(p):
     p.add_argument("stack", help="manifest path or stack directory")
     p.add_argument("--roi", type=_roi_arg, help="region of interest as x0,y0,w,h")
     p.add_argument("--ref-col", type=int, dest="ref_col",
@@ -186,8 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period-px", type=float, dest="period_px",
                    help="fringe period override (px)")
     p.add_argument("--batches", type=int, default=10, help="frame batches for standard errors")
-    add_output(p)
+    _output_options(p)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``icfsim`` parser, with every subcommand and its help text, but
+    the options of ``command`` alone (of every subcommand when None).  Not
+    cached: ``_resolve`` changes a parser's defaults."""
+    parser = argparse.ArgumentParser(
+        prog="icfsim",
+        description="Multi-detector intensity interference of two classical "
+                    "sources: analytic scans, Monte Carlo estimates, frame "
+                    "synthesis and processing.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, declare, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            p.add_argument("--config", metavar="RUN.JSON",
+                           help="JSON file supplying option values (flags override)")
+            declare(p)
     return parser
 
 
@@ -287,10 +295,12 @@ def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
     """The file that ``--out`` names and its format, for every command that
     writes a table: the format is ``--format`` if given, else the .csv or
     .json suffix of ``out``, else csv, and an ``out`` without such a suffix
-    gains ``.<format>``.  A ``--format`` that contradicts the suffix is an
-    error.
+    gains ``.<format>``.  A ``--format`` that contradicts the suffix and an
+    ``out`` that names a directory are errors.
     """
     path = Path(out)
+    if path.name in ("", ".."):
+        raise IcfSimError(f"--out {out} names a directory, not a file")
     suffix = path.suffix.lower()[1:]
     if suffix not in ("csv", "json"):
         fmt = fmt or "csv"
@@ -498,21 +508,25 @@ def cmd_process(opts: dict) -> int:
     return 0
 
 
+# Each subcommand's help text, the function declaring its options and the
+# function running it.
 _COMMANDS = {
-    "analytic": cmd_analytic,
-    "mc": cmd_mc,
-    "limits": cmd_limits,
-    "verify": cmd_verify,
-    "synth": cmd_synth,
-    "process": cmd_process,
+    "analytic": ("closed-form scan and visibility", _analytic_options, cmd_analytic),
+    "mc": ("Monte Carlo scan with error bars", _mc_options, cmd_mc),
+    "limits": ("table of classical visibility limits", _limits_options, cmd_limits),
+    "verify": ("certify closed forms against the expansion oracle", _verify_options,
+               cmd_verify),
+    "synth": ("write a synthetic frame stack", _synth_options, cmd_synth),
+    "process": ("process a frame stack into patterns", _process_options, cmd_process),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         opts = _resolve(parser, argv)
-        return _COMMANDS[opts["command"]](opts)
+        return _COMMANDS[opts["command"]][-1](opts)
     except (IcfSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

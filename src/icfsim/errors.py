@@ -41,9 +41,9 @@ class CustomModelNotSamplable(IcfSimError):
 
 
 class UnsupportedOrder(IcfSimError):
-    def __init__(self, order):
+    def __init__(self, order, message: str | None = None):
         self.order = order
-        super().__init__(f"unsupported correlation order: {order!r}")
+        super().__init__(message or f"unsupported correlation order: {order!r}")
 
 
 class OrderTooLarge(IcfSimError):

@@ -201,6 +201,19 @@ class TestInvalidScans:
         with pytest.raises(error):
             scheme_deltas(order, scheme, self.GRID)
 
+    # an order that another scheme serves read "unsupported correlation order"
+    @pytest.mark.parametrize("order, scheme, orders", [
+        (4, "single_detector", "3"), (3, "four_point_double_speed", "4"),
+        (4, "symmetric_opposite", "2, 3"), (5, "custom", "2, 3, 4")])
+    def test_order_mismatch_names_the_scheme(self, order, scheme, orders):
+        message = f"^scheme '{scheme}' does not serve order {order}; its orders: {orders}$"
+        with pytest.raises(UnsupportedOrder, match=message):
+            ScanPattern(order=order, scheme=scheme, grid=self.GRID,
+                        deltas=np.zeros((3, order)) if scheme == "custom" else None)
+        if scheme != "custom":
+            with pytest.raises(UnsupportedOrder, match=message):
+                scheme_deltas(order, scheme, self.GRID)
+
     @pytest.mark.parametrize("order, scheme, error", [
         (3, "bogus", ValueError), (3, "custom", ValueError),
         (2, "symmetric_opposite", UnsupportedOrder), (4, "symmetric_opposite", UnsupportedOrder),

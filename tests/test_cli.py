@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ class TestAnalytic:
                             "--out", str(tmp_path / "p.csv"))
         assert code == 0
         assert "visibility = 0.7777777" in text
+
+    @pytest.mark.parametrize("order, scheme, message", [
+        ("4", "single-detector", "scheme 'single_detector' does not serve order 4; "
+                                 "its orders: 3"),
+        ("3", "double-speed", "scheme 'four_point_double_speed' does not serve order 3; "
+                              "its orders: 4"),
+    ])
+    def test_scheme_order_mismatch_names_the_scheme_exit_1(self, tmp_path, capsys, order,
+                                                           scheme, message):
+        # printed "unsupported correlation order: 4", although order 4 is supported
+        code, text, err = run(capsys, "analytic", "--order", order, "--scheme", scheme,
+                              "--out", str(tmp_path / "p"))
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())
 
     def test_json_and_csv_hold_identical_numbers(self, tmp_path, capsys):
         code, _, _ = run(capsys, "analytic", "--order", "3",
@@ -207,6 +222,28 @@ class TestOutputPath:
             assert err.startswith("error: --out ") and ".csv" in err and "json" in err
         assert (code, text) == (1, "")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("out", [".", "..", "/"])
+    @pytest.mark.parametrize("argv", [
+        ["limits"],
+        ["analytic", "--grid-points", "5"],
+        ["mc", "--samples", "2000", "--batches", "10", "--grid-points", "3"],
+    ], ids=["limits", "analytic", "mc"])
+    def test_out_naming_a_directory_exit_1_before_any_output(self, tmp_path, capsys,
+                                                             monkeypatch, argv, out, via):
+        # `--out .` ended in "ValueError: PosixPath('.') has an empty name",
+        # and `--out ..` wrote a hidden file named `...csv`
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": out}))
+        flags = ["--out", out] if via == "flag" else ["--config", str(config)]
+        code, text, err = run(capsys, *argv, *flags)
+        assert (code, text, err) == (1, "", f"error: --out {out} names a directory, not a file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "work"]
+        assert not any(work.iterdir())
 
     def test_limits_config_format_without_out_exit_1(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -704,7 +741,8 @@ class TestConfig:
     @pytest.mark.parametrize("argv, content", [
         (["process", "stack"], {"stack": "elsewhere"}),
         (["synth", "--frames", "2"], {"moments": {"2": 2.0}}),
-    ], ids=["process-stack", "synth-moments"])
+        (["verify"], {"samples": 1000}),  # main declares no mc option for verify
+    ], ids=["process-stack", "synth-moments", "verify-samples"])
     def test_only_options_of_the_subcommand_are_keys(self, tmp_path, capsys, argv, content):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(content))
@@ -723,6 +761,88 @@ class TestConfig:
                                       if key not in ("command", "config", "stack")}))
         assert (cli._resolve(cli.build_parser(), [*argv, "--config", str(config)])
                 == cli._resolve(cli.build_parser(), argv))
+
+
+class TestDeclaredParser:
+    """main declares the options of the subcommand it runs alone, and reads
+    as the full parser does."""
+
+    build = staticmethod(cli.build_parser)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every parser that main builds, through a wrapped build_parser."""
+        parsers = []
+
+        def wrapped(*args):
+            parsers.append(self.build(*args))
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", wrapped)
+        return parsers
+
+    @staticmethod
+    def dests(parser, command):
+        return [a.dest for a in cli._command_parser(parser, command)._actions]
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_and_defaults_match_the_full_parser(self, built, capsys, monkeypatch,
+                                                     columns, command):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as err:
+            main([command, "-h"])
+        assert err.value.code == 0
+        full, [parser] = self.build(), built
+        assert capsys.readouterr().out == cli._command_parser(full, command).format_help()
+        assert parser.format_help() == full.format_help()
+        argv = [command, "stack"] if command == "process" else [command]
+        assert vars(parser.parse_args(argv)) == vars(full.parse_args(argv))
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["--config", "x", "verify"], ["mc", "--bogus"],
+        ["limits", "extra"], ["verify", "--trials"],
+    ], ids=["none", "help", "unknown", "config-first", "mc-bogus", "limits-extra",
+            "trials-without-value"])
+    def test_usage_matches_the_full_parser(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as full:
+            cli._resolve(cli.build_parser(), argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as ran:
+            main(argv)
+        assert (ran.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+    # registering the named subcommand alone, or pinning the subcommand
+    # metavar, would change these lines from what the full parser prints
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["mc", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["none", "mc-bogus"])
+    def test_usage_names_every_subcommand(self, capsys, monkeypatch, argv, error):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: icfsim [-h] {analytic,mc,limits,verify,synth,process} ...\n"
+            f"icfsim: error: {error}\n")
+
+    def test_only_the_named_subcommand_is_declared(self, built, capsys):
+        assert main(["verify", "--trials", "3"]) == 0
+        assert main(["verify", "--trials", "3"]) == 0
+        assert len(built) == 2 and built[0] is not built[1]  # no parser is kept
+        for name in cli._COMMANDS:
+            assert self.dests(built[0], name) == (
+                ["help", "config", "trials", "seed"] if name == "verify" else ["help"])
+
+    def test_argv_none_reads_sys_argv(self, built, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["icfsim", "verify", "--trials", "3"])
+        assert main() == 0
+        [parser] = built
+        assert self.dests(parser, "verify") == ["help", "config", "trials", "seed"]
+        assert self.dests(parser, "mc") == ["help"]
 
 
 class TestOutOfRangeIntegers:
