@@ -291,6 +291,14 @@ def _scan_pattern(opts: dict) -> ScanPattern:
                        offset=opts.get("offset"))
 
 
+def _file_path(out: str) -> Path:
+    """``--out`` as a path; an ``out`` that names a directory is an error."""
+    path = Path(out)
+    if path.name in ("", ".."):
+        raise IcfSimError(f"--out {out} names a directory, not a file")
+    return path
+
+
 def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
     """The file that ``--out`` names and its format, for every command that
     writes a table: the format is ``--format`` if given, else the .csv or
@@ -298,9 +306,7 @@ def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
     gains ``.<format>``.  A ``--format`` that contradicts the suffix and an
     ``out`` that names a directory are errors.
     """
-    path = Path(out)
-    if path.name in ("", ".."):
-        raise IcfSimError(f"--out {out} names a directory, not a file")
+    path = _file_path(out)
     suffix = path.suffix.lower()[1:]
     if suffix not in ("csv", "json"):
         fmt = fmt or "csv"
@@ -457,6 +463,7 @@ def cmd_synth(opts: dict) -> int:
 
 
 def cmd_process(opts: dict) -> int:
+    _file_path(opts["out"])  # a prefix of the written files, checked before any read
     reader = FrameReader(opts["stack"], fringe_period_px=opts["period_px"])
     height, width = reader.shape
     x0, y0, w, h = opts["roi"] or (0, 0, width, height)

@@ -19,6 +19,12 @@ moment of one source (the mean intensity cancels).  The imaginary parts
 cancel in conjugate pairs.  The oracle visits all 4^n assignments, decoding
 each index below 4^n into base-4 tokens, then sums the surviving terms by
 sign row, as terms with one sign row share their phase and envelope factor.
+A sign row's moment weight depends on the model alone, and ``icf_general``
+keeps it in a bounded memo keyed by g(0..n).  Its phase factor is
+E[P] conj(E[M]), where E[S] = exp(i sum_{j in S} delta_j) and P and M are
+the row's + and - detectors: one exponential per detector subset, 2^n of
+them.  While 2 * 2^n exceeds the number of sign rows (n <= 5), the oracle
+instead takes one exponential per sign row.
 This evaluator is exhaustive and independent of the closed forms in
 :mod:`icfsim.analytic`, which it certifies.  Certification runs its random
 trials in vectorized chunks, with the draws of one trial at a time and the
@@ -84,6 +90,21 @@ def _grouped(n: int):
     return rows.astype(float), counts, rows != 0
 
 
+@lru_cache(maxsize=None)
+def _phase_basis(n: int):
+    """``(basis, plus, minus)``: one exponential per basis row, then sign row
+    t's factor is ``E[plus[t]] * conj(E[minus[t]])``.  The basis is the sign
+    rows (``plus`` and ``minus`` None) while 2 * 2^n exceeds their number,
+    else the 2^n detector subsets, bit j of s marking detector j in row s.
+    """
+    rows = _grouped(n)[0]
+    if 2 * 2 ** n > len(rows):
+        return rows, None, None
+    bits = 1 << np.arange(n)
+    basis = ((np.arange(2 ** n)[:, None] & bits) != 0).astype(float)
+    return basis, (rows > 0) @ bits, (rows < 0) @ bits
+
+
 def assignments_enumerated(n: int) -> int:
     """Raw assignments actually decoded by the expansion (4^n of them)."""
     return _expand(n)[1]
@@ -94,32 +115,55 @@ def term_count(n: int) -> int:
     return len(_table(n)[2])
 
 
+def _weights(g: np.ndarray) -> np.ndarray:
+    """Each sign row's moment weight, the sum of g(k_a) g(n - k_a) over its
+    terms; ``g`` holds g(0..n), shape (n + 1,) or (trials, n + 1)."""
+    counts = _grouped(g.shape[-1] - 1)[1]
+    return (counts @ (g * g[..., ::-1])[..., None])[..., 0]
+
+
+@lru_cache(maxsize=256)
+def _model_weights(g: tuple) -> np.ndarray:
+    """``_weights`` of one model's g(0..n), which also fixes n; read-only."""
+    w = _weights(np.array(g))
+    w.flags.writeable = False
+    return w
+
+
 def _sums(g: np.ndarray, delta: np.ndarray, env=None):
     """Unnormalized complex expansion sums; imaginary parts must cancel.
 
     ``delta`` holds the detector phases, shape (n,) or (trials, n); ``g``
     holds g(0..n) for each trial, shape (n + 1,) or (trials, n + 1); ``env``
     is None or the envelope factors, shaped like ``delta``.  Each trial runs
-    the same matrix-vector products and contiguous sum as a single call, so a
-    batched value equals the one-trial value bit for bit.
+    the same matrix-vector products, gathers and contiguous sum as a single
+    call, so a batched value equals the one-trial value bit for bit.
     """
-    rows, counts, active = _grouped(delta.shape[-1])
-    # a term's weight is g(k_a) g(n - k_a)
-    w = (counts @ (g * g[..., ::-1])[..., None])[..., 0]
+    return _weighted_sums(_weights(g), delta, env)
+
+
+def _weighted_sums(w: np.ndarray, delta: np.ndarray, env=None):
+    """``_sums`` given the sign rows' moment weights ``w``."""
+    n = delta.shape[-1]
+    basis, plus, minus = _phase_basis(n)
     if env is not None:
-        w = w * np.prod(np.where(active, env[..., None, :], 1.0), axis=-1)
-    terms = 1j * (rows @ delta[..., None])[..., 0]
+        w = w * np.prod(np.where(_grouped(n)[2], env[..., None, :], 1.0), axis=-1)
+    terms = 1j * (basis @ delta[..., None])[..., 0]
     np.exp(terms, out=terms)
+    if plus is not None:
+        # take, not terms[..., plus], keeps a batch C-contiguous and so its
+        # sums bit-identical to single calls
+        terms = terms.take(plus, -1) * terms.conj().take(minus, -1)
     terms *= w
-    return np.sum(terms, axis=-1)
+    return np.add.reduce(terms, -1)
 
 
 def _icf_sum(model: SourceModel, delta: np.ndarray) -> complex:
     """Unnormalized complex expansion sum for one phase list."""
     _grouped(delta.size)  # OrderTooLarge before any missing moment
-    g = np.array([1.0, 1.0] + [moment(model, k) for k in range(2, delta.size + 1)])
+    g = (1.0, 1.0, *(moment(model, k) for k in range(2, delta.size + 1)))
     env = None if model.coherence_width is None else coherence_envelope(model, delta)
-    return complex(_sums(g, delta, env))
+    return complex(_weighted_sums(_model_weights(g), delta, env))
 
 
 def _residue_error(residue: float, n: int) -> ArithmeticError:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +362,23 @@ class TestFramesCli:
                            "--roi", "0,0,700,8", "--out", str(tmp_path / "x"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("out", [".", "..", "/"])
+    def test_process_out_naming_a_directory_exit_1_before_any_output(
+            self, tmp_path, capsys, monkeypatch, out):
+        # `--out .` exited 0 after writing ._intensity.csv, ._g3.csv and
+        # ._g4.csv: the suffixed names hid the directory from the check
+        stack_dir = tmp_path / "stack"
+        assert run(capsys, "synth", "--frames", "8", "--frame-height", "8",
+                   "--out", str(stack_dir))[0] == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, text, err = run(capsys, "process", str(stack_dir), "--out", out)
+        assert (code, text, err) == (1, "", f"error: --out {out} names a directory, not a file\n")
+        assert not any(work.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stack", "work"]
+        assert not any(Path(f"{out}_{name}.csv").exists() for name in ("intensity", "g3", "g4"))
 
     def test_frozen_phase_gives_flat_g3(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"

@@ -16,7 +16,7 @@ from icfsim import (
     verify_closed_form,
 )
 from icfsim.errors import MissingMoment, OrderTooLarge, UnsupportedOrder
-from icfsim.expansion import _grouped, _icf_sum, _table
+from icfsim.expansion import _grouped, _icf_sum, _model_weights, _phase_basis, _table
 
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
@@ -90,6 +90,34 @@ class TestTermBookkeeping:
             icf_general(THERMAL, delta)
 
 
+class TestPhaseBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sign_rows_up_to_order_5_and_detector_subsets_above(self, n):
+        rows = _grouped(n)[0]
+        basis, plus, minus = _phase_basis(n)
+        if n <= 5:
+            assert basis is rows and plus is None and minus is None
+            return
+        bits = 1 << np.arange(n)
+        assert basis.shape == (2 ** n, n)
+        assert np.array_equal(basis.astype(int) @ bits, np.arange(2 ** n))
+        assert not np.any(plus & minus)
+        assert np.array_equal(basis[plus] - basis[minus], rows)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_subset_factors_match_sign_row_exponentials(self, n):
+        # both sides round their phase sums, so the bound grows with |delta|
+        rows = _grouped(n)[0]
+        basis, plus, minus = _phase_basis(n)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(100):
+            delta = rng.uniform(-2 * np.pi, 2 * np.pi, n)
+            e = np.exp(1j * (basis @ delta))
+            expected = np.exp(1j * (rows @ delta))
+            bound = 1e-15 * (1.0 + np.abs(delta).sum())
+            assert np.max(np.abs(e[plus] * e[minus].conj() - expected)) <= bound
+
+
 class TestKnownValues:
     def test_order_one_normalizes_to_unity(self):
         assert icf_general(COHERENT, [0.3]) == pytest.approx(1.0)
@@ -140,6 +168,15 @@ class TestClosedFormCertification:
         with pytest.raises(ValueError):
             verify_closed_form(3, trials=0)
 
+    @pytest.mark.parametrize("order, pins", [
+        (2, ["0x1.0000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-51"]),
+        (3, ["0x1.0000000000000p-48", "0x1.0000000000000p-48", "0x1.0000000000000p-48"]),
+        (4, ["0x1.8000000000000p-45", "0x1.0000000000000p-44", "0x1.4000000000000p-45"]),
+    ])
+    def test_pinned_deviations(self, order, pins):
+        # sign-row phase factors up to order 5 keep these bits, seeds 0, 1, 2
+        assert [verify_closed_form(order, 1000, seed=s).hex() for s in range(3)] == pins
+
     def test_reproducible_given_seed(self):
         assert verify_closed_form(3, 50, seed=9) == verify_closed_form(3, 50, seed=9)
 
@@ -153,7 +190,7 @@ class TestOracleProperties:
             total = _icf_sum(THERMAL, delta)
             assert abs(total.imag) * 2.0 ** -n < 1e-12
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_imaginary_residue_cancels_at_the_top_orders(self, n):
         rng = np.random.default_rng(36 + n)
         for _ in range(50):
@@ -167,20 +204,25 @@ class TestOracleProperties:
         SourceModel.thermal(coherence_width=2.5),
     ], ids=["thermal", "coherent", "custom", "thermal-width"])
     def test_grouped_sum_matches_per_term_sum(self, model):
-        # reference: one phase and one envelope factor per surviving term
-        from icfsim.sources import coherence_envelope
-        from icfsim.sources import moment as moment_of
         rng = np.random.default_rng(37)
         for n in range(1, 9):
-            k_a, k_b, signs = _table(n)
-            g = np.array([moment_of(model, k) if k >= 1 else 1.0 for k in range(n + 1)])
             for _ in range(5):
                 delta = rng.uniform(-6, 6, n)
-                env = coherence_envelope(model, delta)
-                w = g[k_a] * g[k_b] * np.prod(np.where(signs != 0, env, 1.0), axis=1)
-                expected = np.sum(w * np.exp(1j * (signs @ delta)))
+                expected = per_term_sum(model, delta)
                 total = _icf_sum(model, delta)
                 assert abs(total - expected) <= 1e-12 * abs(expected)
+
+    def test_memoized_weights_follow_the_model(self):
+        # two tables of one order, called alternately, each keep their own weights
+        models = [SourceModel.custom({k: math.exp(c * k * (k - 1)) for k in range(2, 7)})
+                  for c in (0.2, 0.35)]
+        rng = np.random.default_rng(38)
+        for _ in range(4):
+            for model in models:
+                delta = rng.uniform(-6, 6, 6)
+                expected = per_term_sum(model, delta)
+                assert abs(_icf_sum(model, delta) - expected) <= 1e-12 * abs(expected)
+        assert _model_weights.cache_info().maxsize is not None
 
     def test_nonnegativity_over_random_inputs(self):
         rng = np.random.default_rng(32)
@@ -246,6 +288,18 @@ class TestOracleProperties:
         for phi in (0.0, 0.7, 2.0):
             assert icf_general(model, [phi, 0.0]) == pytest.approx(
                 g2_point(model, phi), abs=1e-13)
+
+
+def per_term_sum(model, delta):
+    """One phase and one envelope factor per surviving term."""
+    from icfsim.sources import coherence_envelope
+    from icfsim.sources import moment as moment_of
+    n = len(delta)
+    k_a, k_b, signs = _table(n)
+    g = np.array([moment_of(model, k) if k >= 1 else 1.0 for k in range(n + 1)])
+    env = coherence_envelope(model, delta)
+    w = g[k_a] * g[k_b] * np.prod(np.where(signs != 0, env, 1.0), axis=1)
+    return np.sum(w * np.exp(1j * (signs @ delta)))
 
 
 def per_trial_reference(order, trials, seed):
