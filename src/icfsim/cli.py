@@ -293,8 +293,8 @@ def _scan_pattern(opts: dict) -> ScanPattern:
 
 def _file_path(out: str) -> Path:
     """``--out`` as a path; an ``out`` that names a directory is an error."""
-    path = Path(out)
-    if path.name in ("", ".."):
+    path = Path(out)  # Path("res/").name is "res": check the raw string too
+    if path.name in ("", "..") or out.endswith(("/", os.sep)):
         raise IcfSimError(f"--out {out} names a directory, not a file")
     return path
 

@@ -33,6 +33,7 @@ same per-trial sums as ``icf_general``.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -174,20 +175,21 @@ def icf_general(model: SourceModel, delta) -> float:
     """Normalized n-detector correlation <prod I_j> / prod <I_j>.
 
     ``delta`` is the per-detector phase-offset list: a 1-D sequence of
-    finite phases, n = len(delta) from 1 up to 8.
+    phases whose absolute sum, which bounds every phase sum the expansion
+    forms, is finite; n = len(delta) from 1 up to 8.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.ndim == 0:
         delta = delta.reshape(1)
-    if delta.ndim != 1 or delta.size == 0 or not np.isfinite(delta).all():
-        raise ValueError(f"delta must be a non-empty 1-D list of finite phases, "
-                         f"got {delta.tolist()}")
+    if delta.ndim != 1 or delta.size == 0 or not math.isfinite(sum(map(abs, delta.tolist()))):
+        raise ValueError(f"delta must be a non-empty 1-D list of finite phases with a "
+                         f"finite absolute sum, got {delta.tolist()}")
     n = delta.size
     total = _icf_sum(model, delta)
     scale = 2.0 ** -n
     value = total.real * scale
     residue = abs(total.imag) * scale
-    if residue > 1e-12 * max(1.0, abs(value)):
+    if not residue <= 1e-12 * max(1.0, abs(value)):
         raise _residue_error(residue, n)
     return value
 
@@ -233,7 +235,7 @@ def verify_closed_form(order: int, trials: int, seed: int | None = None) -> floa
         total = _sums(np.stack((ones, ones, g2, g3, g4), axis=-1)[:, :order + 1], delta)
         value = total.real * 2.0 ** -order
         residue = np.abs(total.imag) * 2.0 ** -order
-        bad = residue > 1e-12 * np.maximum(1.0, np.abs(value))
+        bad = ~(residue <= 1e-12 * np.maximum(1.0, np.abs(value)))
         if bad.any():
             raise _residue_error(float(residue[bad][0]), order)
         closed = closed_form((g2, g3, g4), delta)

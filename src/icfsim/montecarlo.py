@@ -37,13 +37,9 @@ import numpy as np
 
 from .analytic import InterferencePattern, ScanPattern
 from .errors import BadBatching
-# detector_intensities is not called here; it stays importable from this
-# module because perfbench's traced run wraps it under this name.
-from .sources import (  # noqa: F401
+from .sources import (
     SourceModel,
     coherence_envelope,
-    detector_intensities,
-    detector_rows,
     field_terms,
     rng_from_seed,
     sample_batch,
@@ -96,6 +92,25 @@ def _draw(model: SourceModel, seeds: np.ndarray, ia, ib, theta):
                      out=(ia[k], ib[k], theta[k]))
 
 
+def _detector_factors(model: SourceModel, deltas):
+    """(kc, ks) = (E cos(delta), E sin(delta)), E the coherence envelope: in the
+    ``field_terms`` base, c and s, detector j at phase delta_j sees
+    I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j) = base + kc_j c - ks_j s."""
+    env = coherence_envelope(model, deltas)
+    return env * np.cos(deltas), env * np.sin(deltas)
+
+
+def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray:
+    """Instantaneous intensities at detectors with phase offsets ``delta``,
+    shape (detectors, samples), from the draws ``ia``, ``ib`` and ``theta``,
+    which are left unchanged.
+    """
+    ia, ib, theta = (np.array(x, dtype=float) for x in (ia, ib, theta))
+    base, c, s = field_terms(ia, ib, theta, np.empty_like(ia), trig_scratch(ia.size))
+    kc, ks = _detector_factors(model, np.asarray(delta, dtype=float))
+    return base + np.multiply.outer(kc, c) - np.multiply.outer(ks, s)
+
+
 def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: int,
                work=None):
     """Per-batch sums of the detector-intensity products, shape (batches,),
@@ -105,14 +120,14 @@ def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: i
     """
     (ia, ib, theta, amp, row, prod), scratch = _workspace(work, 6, (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
+    base, c, s = field_terms(ia, ib, theta, amp, scratch)
     sums = np.empty((len(seeds), len(delta)))
-    rows = detector_rows(model, delta, ia, ib, theta, amp, row, scratch)
-    for j, row in enumerate(rows):
+    for j, (kc, ks) in enumerate(zip(*_detector_factors(model, delta))):
+        np.multiply(c, kc, out=row)
+        row += base
+        row -= np.multiply(s, ks, out=amp)
         sums[:, j] = row.sum(axis=-1)
-        if j:
-            prod *= row
-        else:  # prod is trig scratch until now; 1.0 * row is row, bit for bit
-            np.copyto(prod, row)
+        np.multiply(prod if j else 1.0, row, out=prod)  # prod held trig scratch until now
     if not len(delta):
         prod.fill(1.0)
     return prod.sum(axis=-1), sums
@@ -153,13 +168,12 @@ def _power_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int,
 def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
                linear: np.ndarray):
     """Per-batch product and detector sums at phases ``deltas`` (points,
-    detectors) from ``_power_sums``: detector j sees base + kc_j c - ks_j s.
+    detectors) from ``_power_sums``, each detector by ``_detector_factors``.
     The contraction is elementwise and sequential, not a matrix product or
     a numpy sum (whose order depends on the shape), so a point's sums do not
     depend on the rest of the grid.
     """
-    env = coherence_envelope(model, deltas)
-    kc, ks = env * np.cos(deltas), env * np.sin(deltas)
+    kc, ks = _detector_factors(model, deltas)
     order = deltas.shape[1]
     # coef[p, j, k] multiplies base^(d-j-k) c^j s^k after d detectors
     coef = np.zeros((len(deltas), order + 1, order + 1))

@@ -355,44 +355,3 @@ def field_terms(ia, ib, theta, amp, scratch):
     np.add(ia, ib, out=ia)
     cos_sin(theta, ib, theta, scratch)
     return ia, np.multiply(ib, amp, out=ib), np.multiply(theta, amp, out=theta)
-
-
-def detector_rows(model: SourceModel, delta, ia, ib, theta, amp, row, scratch):
-    """Yield the instantaneous intensity at each detector in turn.
-
-    I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j), where E_j is the
-    coherence-envelope factor.  It is evaluated as
-    (Ia + Ib) + E_j cos(delta_j) c - E_j sin(delta_j) s with the
-    ``field_terms`` c and s, so each sample costs one ``cos_sin`` whatever
-    the number of detectors, good to 2**-52 for theta in [0, 2 pi).  The
-    draws ``ia``, ``ib`` and ``theta`` and the scratch arrays ``amp`` and
-    ``row`` all have one shape; the draws and ``amp`` are overwritten, and
-    every row is written into ``row``: use a row before asking for the
-    next.  ``scratch`` is ``cos_sin``'s, used before the first row is
-    written; it may be carved from ``row`` or from arrays that are only
-    written once the first row is out.
-    """
-    delta = np.asarray(delta, dtype=float)
-    env = coherence_envelope(model, delta)
-    base, c, s = field_terms(ia, ib, theta, amp, scratch)
-    for kc, ks in zip(env * np.cos(delta), env * np.sin(delta)):
-        np.multiply(c, kc, out=row)
-        row += base
-        np.multiply(s, ks, out=amp)
-        row -= amp
-        yield row
-
-
-def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray:
-    """Instantaneous intensities at detectors with phase offsets ``delta``.
-
-    The rows of ``detector_rows`` stacked: shape (n_detectors, n_samples).
-    """
-    delta = np.asarray(delta, dtype=float)
-    # copies of the draws, and scratch for amp and row: the inputs stay unchanged
-    work = np.array([ia, ib, theta, theta, theta], dtype=float)
-    out = np.empty((len(delta),) + work.shape[1:])
-    scratch = trig_scratch(work[0].size, [out])  # out is written after the trig step
-    for j, row in enumerate(detector_rows(model, delta, *work, scratch)):
-        out[j] = row
-    return out

@@ -225,7 +225,7 @@ class TestOutputPath:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("out", [".", "..", "/"])
+    @pytest.mark.parametrize("out", [".", "..", "/", "sub/"])
     @pytest.mark.parametrize("argv", [
         ["limits"],
         ["analytic", "--grid-points", "5"],
@@ -363,7 +363,7 @@ class TestFramesCli:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("out", [".", "..", "/"])
+    @pytest.mark.parametrize("out", [".", "..", "/", "sub/"])
     def test_process_out_naming_a_directory_exit_1_before_any_output(
             self, tmp_path, capsys, monkeypatch, out):
         # `--out .` exited 0 after writing ._intensity.csv, ._g3.csv and

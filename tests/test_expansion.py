@@ -82,9 +82,12 @@ class TestTermBookkeeping:
         with pytest.raises(OrderTooLarge):
             term_count(9)
 
+    # with every warning an error: finite phases whose sum overflows gave nan
+    # after "RuntimeWarning: overflow encountered in matmul"
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta", [
-        [], np.zeros((2, 3)), [0.0, float("nan"), 1.0], [float("inf"), 0.0],
-    ], ids=["empty", "2-D", "nan", "inf"])
+        [], np.zeros((2, 3)), [0.0, float("nan"), 1.0], [float("inf"), 0.0], [1e308] * 6,
+    ], ids=["empty", "2-D", "nan", "inf", "sum-overflows"])
     def test_bad_phases_rejected(self, delta):
         with pytest.raises(ValueError, match="non-empty 1-D list of finite phases"):
             icf_general(THERMAL, delta)

@@ -18,7 +18,7 @@ from icfsim import (
     scan,
 )
 from icfsim.errors import BadBatching, CustomModelNotSamplable
-from icfsim.sources import sample_batch, spawn_seeds
+from icfsim.sources import TRIG_CHUNK, rng_from_seed, sample_batch, spawn_seeds
 
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
@@ -602,6 +602,24 @@ class TestCarvedScratch:
         from icfsim.montecarlo import _task_sums
         prod, sums = _task_sums(THERMAL, np.empty(0), spawn_seeds(3, 2), 1000)
         assert prod.tolist() == [1000.0, 1000.0] and sums.shape == (2, 0)
+
+
+class TestOneDetectorRule:
+    """``detector_intensities`` and ``_task_sums`` form each detector's
+    intensity by the one rule of ``_detector_factors``, to the bit."""
+
+    @pytest.mark.parametrize("name", list(TASK_MODELS))
+    @pytest.mark.parametrize("delta", [np.array([0.7]), *TASK_DELTAS[::-1]],
+                             ids=lambda d: f"{len(d)}-detectors")
+    def test_rows_sum_to_task_sums(self, name, delta):
+        from icfsim.montecarlo import _task_sums, detector_intensities
+        model, seeds, size = TASK_MODELS[name], spawn_seeds(31, 1), 50_000
+        assert size > TRIG_CHUNK
+        prod, sums = _task_sums(model, delta, seeds, size)
+        rows = detector_intensities(model, delta,
+                                    *sample_batch(model, rng_from_seed(seeds[0]), size))
+        assert rows.sum(-1).tolist() == sums[0].tolist()
+        assert np.prod(rows, 0).sum() == prod[0]
 
 
 class TestRepin:

@@ -23,11 +23,11 @@ from icfsim.errors import (
     NonpositiveWidth,
 )
 from icfsim.constants import DEFAULT_SEED
+from icfsim.montecarlo import detector_intensities
 from icfsim.sources import (
     TRIG_CHUNK,
     TRIG_SCRATCH,
     cos_sin,
-    detector_intensities,
     rng_from_seed,
     spawn_seeds,
     trig_scratch,
