@@ -54,7 +54,6 @@ from .sources import (
     coherence_envelope,
     moment,
     sample_batch,
-    validate,
 )
 from .svgplot import write_pattern_svg
 

@@ -167,7 +167,7 @@ def visibility(pattern_or_values) -> float:
 
 @dataclass(frozen=True)
 class InterferencePattern:
-    """A sampled scan curve with extracted visibility.
+    """A sampled scan curve and its visibility, computed from the values.
 
     ``xs`` are scan coordinates in radians, ``values`` the correlation
     values, ``stderrs`` optional per-point standard errors.
@@ -176,7 +176,7 @@ class InterferencePattern:
     xs: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray | None = None
-    visibility: float = field(default=None)  # filled on construction
+    visibility: float = field(init=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -190,8 +190,7 @@ class InterferencePattern:
             if stderrs.shape != values.shape:
                 raise ValueError("stderrs must match values in shape")
             object.__setattr__(self, "stderrs", stderrs)
-        if self.visibility is None:
-            object.__setattr__(self, "visibility", visibility(values))
+        object.__setattr__(self, "visibility", visibility(values))
 
     def visibility_stderr(self) -> float | None:
         """Standard error of the visibility (None without stderrs), propagated

@@ -5,10 +5,6 @@ class IcfSimError(Exception):
     """Base class for all library errors."""
 
 
-class NonpositiveMeanIntensity(IcfSimError):
-    pass
-
-
 class NonpositiveWidth(IcfSimError):
     pass
 

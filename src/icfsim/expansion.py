@@ -230,7 +230,7 @@ def verify_closed_form(order: int, trials: int, seed: int | None = None) -> floa
         violated = (g2 < 1.0) | (g3 < g2 * g2) | (g4 * g2 < g3 * g3)
         if violated.any():
             i = int(np.argmax(violated))
-            SourceModel.custom({2: g2[i], 3: g3[i], 4: g4[i]})  # raises as validate does
+            SourceModel.custom({2: g2[i], 3: g3[i], 4: g4[i]})  # raises the model's error
         ones = np.ones_like(g2)
         total = _sums(np.stack((ones, ones, g2, g3, g4), axis=-1)[:, :order + 1], delta)
         value = total.real * 2.0 ** -order

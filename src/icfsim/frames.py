@@ -20,10 +20,10 @@ and adding a double-speed detector (fourth).
 The synthesizer draws a source realization per pulse and renders
 
     I(x, y) = env(x) [Ia + Ib + 2 sqrt(Ia Ib) cos(2 pi x / period + theta)]
-              * peak_level / (4 * mean_intensity)
+              * peak_level / 4
 
-followed by the camera noise chain: Poisson shot noise, additive Gaussian
-read noise, clamping, quantization to the configured bit depth.
+(Ia and Ib in units of their mean), then the camera noise chain: Poisson
+shot noise, Gaussian read noise, clamping, quantization to the bit depth.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     height, width = optics.frame_height, optics.frame_width
     envelope = _envelope_row(width, optics.envelope_fwhm_px)
     column_phase = 2.0 * np.pi * np.arange(width) / optics.fringe_period_px
-    scale = peak_level / (4.0 * model.mean_intensity)
+    scale = peak_level / 4.0
     sigma = optics.noise.gaussian_sigma
     noisy = optics.noise.poisson or sigma > 0
 
@@ -335,7 +335,6 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         phase_modulation = {"type": "uniform"}
     metadata = {
         "kind": model.kind,
-        "mean_intensity": model.mean_intensity,
         "envelope_fwhm_px": optics.envelope_fwhm_px,
         "peak_level": peak_level,
         "noise": {"gaussian_sigma": sigma, "poisson": optics.noise.poisson},

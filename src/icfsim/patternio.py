@@ -2,7 +2,8 @@
 JSON (``{"xs", "values", "stderrs", "visibility"}``).
 
 Numbers are written with shortest round-trip precision, so a written file
-parses back to exactly the floats that produced it.
+parses back to exactly the floats that produced it.  The readers raise
+``MalformedFile`` for a file they cannot parse, and take no ``visibility``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ def pattern_to_dict(pattern: InterferencePattern) -> dict:
 
 
 def pattern_from_dict(data: dict) -> InterferencePattern:
-    return InterferencePattern(
-        xs=np.asarray(data["xs"], dtype=float),
-        values=np.asarray(data["values"], dtype=float),
-        stderrs=None if data.get("stderrs") is None
-        else np.asarray(data["stderrs"], dtype=float),
-        visibility=data.get("visibility"),
-    )
+    """The pattern of ``xs`` and ``values``, lists of numbers, and ``stderrs``,
+    one or null; TypeError, ValueError or OverflowError otherwise."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    columns = [data.get(key) for key in ("xs", "values", "stderrs")]
+    for key, column in zip(("xs", "values", "stderrs"), columns):
+        if not (isinstance(column, list) and all(type(v) in (int, float) for v in column)
+                or key == "stderrs" and column is None):
+            raise TypeError(f"'{key}' must be a list of numbers")
+    xs, values, stderrs = (None if c is None else np.array(c, dtype=float) for c in columns)
+    return InterferencePattern(xs=xs, values=values, stderrs=stderrs)
 
 
 def write_pattern_json(pattern: InterferencePattern, path) -> None:
@@ -44,7 +49,7 @@ def read_pattern_json(path) -> InterferencePattern:
     path = Path(path)
     try:
         return pattern_from_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # ValueError: JSON, UTF-8, shapes
         raise MalformedFile(path, f"invalid pattern JSON: {exc}") from None
 
 
@@ -62,27 +67,29 @@ def write_pattern_csv(pattern: InterferencePattern, path) -> None:
 
 def read_pattern_csv(path) -> InterferencePattern:
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header not in ("x_rad,g_value", "x_rad,g_value,stderr"):
-            raise MalformedFile(path, f"unexpected header {header!r}", line=1)
-        with_err = header.endswith(",stderr")
-        xs, values, errs = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != (3 if with_err else 2):
-                raise MalformedFile(path, f"expected {3 if with_err else 2} columns",
-                                    line=lineno)
-            try:
-                xs.append(float(parts[0]))
-                values.append(float(parts[1]))
-                if with_err:
-                    errs.append(float(parts[2]))
-            except ValueError:
-                raise MalformedFile(path, "non-numeric value", line=lineno) from None
+    try:
+        header, *lines = path.read_text().split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(path, f"invalid pattern CSV: {exc}") from None
+    header = header.strip()
+    if header not in ("x_rad,g_value", "x_rad,g_value,stderr"):
+        raise MalformedFile(path, f"unexpected header {header!r}", line=1)
+    with_err = header.endswith(",stderr")
+    xs, values, errs = [], [], []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != (3 if with_err else 2):
+            raise MalformedFile(path, f"expected {3 if with_err else 2} columns", line=lineno)
+        try:
+            xs.append(float(parts[0]))
+            values.append(float(parts[1]))
+            if with_err:
+                errs.append(float(parts[2]))
+        except ValueError:
+            raise MalformedFile(path, "non-numeric value", line=lineno) from None
     if not xs:
         raise MalformedFile(path, "no data rows", line=1)
     return InterferencePattern(

@@ -1,8 +1,9 @@
 """Statistical models of the two classical sources.
 
-Both sources share a single model: the same intensity statistics, the same
-mean intensity, and an independently fluctuating relative phase theta.
-Coherent light has constant intensity, so every normalized moment
+Both sources share a single model: the same intensity statistics, in units
+of the mean intensity (which the normalized moments do not depend on), and
+an independently fluctuating relative phase theta.  Coherent light has
+constant intensity, so every normalized moment
 g(k) = <I^k>/<I>^k equals 1.  Single-mode thermal light has exponentially
 distributed intensity, giving g(k) = k! (``moment`` defines both).  Custom
 models carry a moments table and are analytic-only: a distribution is
@@ -28,7 +29,6 @@ from .errors import (
     IcfSimError,
     MissingMoment,
     MomentInequalityViolated,
-    NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
 
@@ -37,17 +37,18 @@ KINDS = ("coherent", "thermal", "custom")
 
 @dataclass(frozen=True)
 class SourceModel:
-    """One classical source: kind, mean intensity, normalized moments.
+    """One classical source: kind, normalized moments, coherence width.
 
     ``moments`` maps order k to g(k) = <I^k>/<I>^k, as given to a custom
     model; coherent and thermal models hold ``{}`` (``moment`` gives their
-    g(k)).  Orders are integers >= 2 or their decimal strings, and values
-    real, finite and positive.  Models are validated on construction and
-    immutable afterwards, so they are safe to share across threads.
+    g(k)).  Construction raises on the first failed check: orders are
+    integers >= 2 or their decimal strings, values real, finite and positive;
+    the coherence width (if any) positive; g(2) >= 1; a g(3) needs a g(2)
+    and a g(4) a g(3); and the Cauchy-Schwarz chain g(3) >= g(2)^2 and
+    g(4) g(2) >= g(3)^2 holds.  Models are immutable, so thread-safe.
     """
 
     kind: str
-    mean_intensity: float = 1.0
     moments: dict[int, float] = field(default_factory=dict)
     coherence_width: float | None = None
 
@@ -68,29 +69,37 @@ class SourceModel:
                     order, v, 0.0, f"moment g({order}) must be a positive finite number, got {v!r}")
             table[order] = float(v)
         object.__setattr__(self, "moments", table)
-        object.__setattr__(self, "mean_intensity", float(self.mean_intensity))
-        validate(self)
+        if self.coherence_width is not None and not self.coherence_width > 0:
+            raise NonpositiveWidth(
+                f"coherence_width must be positive, got {self.coherence_width!r}")
+        g2, g3, g4 = (table.get(k) for k in (2, 3, 4))
+        if g2 is not None and g2 < 1.0:
+            raise MomentInequalityViolated(2, g2, 1.0)
+        for k in (3, 4):
+            if k in table and k - 1 not in table:
+                raise MissingMoment(k - 1)
+        if g3 is not None and g3 < g2 * g2:
+            raise MomentInequalityViolated(3, g3, g2 * g2)
+        if g4 is not None and g4 * g2 < g3 * g3:
+            raise MomentInequalityViolated(4, g4 * g2, g3 * g3)
 
     @classmethod
-    def coherent(cls, mean_intensity: float = 1.0,
-                 coherence_width: float | None = None) -> "SourceModel":
-        return cls("coherent", mean_intensity, coherence_width=coherence_width)
+    def coherent(cls, *, coherence_width: float | None = None) -> "SourceModel":
+        return cls("coherent", coherence_width=coherence_width)
 
     @classmethod
-    def thermal(cls, mean_intensity: float = 1.0,
-                coherence_width: float | None = None) -> "SourceModel":
-        return cls("thermal", mean_intensity, coherence_width=coherence_width)
+    def thermal(cls, *, coherence_width: float | None = None) -> "SourceModel":
+        return cls("thermal", coherence_width=coherence_width)
 
     @classmethod
-    def custom(cls, moments: dict[int, float], mean_intensity: float = 1.0,
+    def custom(cls, moments: dict[int, float], *,
                coherence_width: float | None = None) -> "SourceModel":
-        return cls("custom", mean_intensity, moments, coherence_width)
+        return cls("custom", moments, coherence_width)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SourceModel":
         """The model of a ``to_dict``-style object: ``kind`` (required),
-        ``mean_intensity``, ``moments`` and ``coherence_width``, passed on
-        as they are.  Any other key raises."""
+        ``moments`` and ``coherence_width``; any other key raises."""
         unknown = set(cfg) - {f.name for f in fields(cls)}
         if unknown:
             raise IcfSimError(f"unknown source model keys: {sorted(map(str, unknown))}")
@@ -98,35 +107,6 @@ class SourceModel:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def validate(model: SourceModel) -> None:
-    """Check the classicality constraints; raise on the first violation.
-
-    Constraints: mean intensity positive and finite; coherence width (if
-    any) positive; g(2) >= 1, and the Cauchy-Schwarz chain g(3) >= g(2)^2
-    and g(4) g(2) >= g(3)^2 for whichever moments the model provides
-    (``SourceModel`` checks that each is a positive finite number).
-    """
-    if not 0 < model.mean_intensity < math.inf:
-        raise NonpositiveMeanIntensity(
-            f"mean_intensity must be positive and finite, got {model.mean_intensity!r}")
-    if model.coherence_width is not None and not model.coherence_width > 0:
-        raise NonpositiveWidth(
-            f"coherence_width must be positive, got {model.coherence_width!r}")
-    g2, g3, g4 = (model.moments.get(k) for k in (2, 3, 4))
-    if g2 is not None and g2 < 1.0:
-        raise MomentInequalityViolated(2, g2, 1.0)
-    if g3 is not None:
-        if g2 is None:
-            raise MissingMoment(2)
-        if g3 < g2 * g2:
-            raise MomentInequalityViolated(3, g3, g2 * g2)
-    if g4 is not None:
-        if g3 is None:
-            raise MissingMoment(3)
-        if g4 * g2 < g3 * g3:
-            raise MomentInequalityViolated(4, g4 * g2, g3 * g3)
 
 
 def moment(model: SourceModel, k: int) -> float:
@@ -160,7 +140,8 @@ def coherence_envelope(model: SourceModel, delta) -> np.ndarray:
     if model.coherence_width is None:
         return np.ones_like(delta, dtype=float)
     w = model.coherence_width
-    return np.exp(-(delta ** 2) / (2.0 * w * w))
+    with np.errstate(over="ignore"):  # a square past float range gives the limit, 0
+        return np.exp(-(delta ** 2) / (2.0 * w * w))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -223,8 +204,8 @@ def rng_from_seed(words) -> np.random.Generator:
 def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=None):
     """Vectorized sampling; returns (intensity_a, intensity_b, theta) arrays.
 
-    Coherent intensities are exactly the mean; thermal intensities are
-    i.i.d. exponential.  theta is uniform on [0, 2*pi).  The draw order
+    Coherent intensities are exactly the mean, 1; thermal intensities are
+    i.i.d. standard exponential.  theta is uniform on [0, 2*pi).  The draw order
     (a-intensities, b-intensities, theta) is fixed so that a given seeded
     stream always yields bit-identical sequences.  With ``out``, three
     contiguous float arrays of length ``size``, the draws are written there
@@ -236,10 +217,9 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=No
     ia, ib, theta = (np.empty(size) for _ in range(3)) if out is None else out
     for i in (ia, ib):
         if model.kind == "coherent":
-            i.fill(model.mean_intensity)
-        else:  # numpy's exponential(scale) is scale * standard_exponential()
+            i.fill(1.0)
+        else:
             rng.standard_exponential(out=i)
-            i *= model.mean_intensity
     rng.random(out=theta)  # uniform(0, 2 pi) is 0 + 2 pi * random()
     theta *= 2.0 * np.pi
     return ia, ib, theta

@@ -85,6 +85,8 @@ class TestPointValues:
             g3_point(COHERENT, PhaseConfig((0.0, 0.0)))
         with pytest.raises(UnsupportedOrder):
             g4_point(COHERENT, PhaseConfig((0.0, 0.0, 0.0)))
+        with pytest.raises(UnsupportedOrder):
+            PhaseConfig((0.0,) * 5)
 
     def test_phase_config_phi(self):
         cfg = PhaseConfig((0.5, 0.1, -0.2))
@@ -392,6 +394,11 @@ class TestPatternType:
     def test_pattern_fills_visibility(self):
         p = InterferencePattern(xs=np.array([0.0, 1.0]), values=np.array([2.0, 1.0]))
         assert p.visibility == pytest.approx(1 / 3)
+
+    def test_visibility_is_not_an_argument(self):
+        # the values alone define it
+        with pytest.raises(TypeError):
+            InterferencePattern(np.array([0.0, 1.0]), np.array([2.0, 1.0]), visibility=0.5)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

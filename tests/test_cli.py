@@ -698,7 +698,8 @@ class TestConfig:
         ({"2": "abc"}, "moment g(2) must be a positive finite number, got 'abc'"),
         ({"2": True, "3": True}, "moment g(2) must be a positive finite number, got True"),
         ({"1": 1.0, "2": 2.0}, "'moments' orders must be distinct integers >= 2, got '1'"),
-    ], ids=["nan", "key-x", "list", "abc", "true", "key-1"])
+        ({}, "custom models need a 'moments' table in the --config file"),
+    ], ids=["nan", "key-x", "list", "abc", "true", "key-1", "empty"])
     def test_malformed_moments_table_exit_1(self, tmp_path, capsys, command, moments,
                                             message):
         config = tmp_path / "run.json"
@@ -971,6 +972,16 @@ class TestConfigTypes:
         assert err.startswith(f"error: {key} in config file ") and "must be one of" in err
         assert repr(content[key]) in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
+    def test_value_refused_by_its_type_function_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"roi": "1,2"}))
+        code, text, err = run(capsys, "process", str(tmp_path / "stack"), "--config",
+                              str(config), "--out", str(tmp_path / "out"))
+        assert (code, text) == (1, "")
+        assert err == (f"error: roi in config file {config}: expected x0,y0,w,h integers, "
+                       f"got '1,2'\n")
+        assert sorted(tmp_path.iterdir()) == [config]
 
     def test_matching_types_accepted(self, tmp_path, capsys):
         config = tmp_path / "run.json"

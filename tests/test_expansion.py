@@ -136,6 +136,9 @@ class TestKnownValues:
     def test_matches_g2_at_pi(self):
         assert icf_general(COHERENT, [math.pi, 0.0]) == pytest.approx(0.5, abs=1e-13)
 
+    def test_scalar_phase_is_one_detector(self):
+        assert icf_general(THERMAL, 0.5) == icf_general(THERMAL, [0.5]) == 1.0
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_coherent_equal_phases_give_central_binomial(self, n):
         # <(1 + cos theta)^n> = C(2n, n) / 2^n

@@ -94,6 +94,17 @@ class TestPgm:
         with pytest.raises(MalformedFile):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n0 5\n65535\n", "(byte 12): bad dimensions 0x5"),
+        (b"P5\n2 2\n70000\n", "(byte 12): maxval 70000 out of range"),
+        (b"P5\n2", "(byte 4): unexpected end of header"),
+    ], ids=["zero-width", "maxval", "cut-short"])
+    def test_bad_header_fields(self, tmp_path, header, message):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(header)
+        with pytest.raises(MalformedFile, match=re.escape(message)):
+            read_pgm(path)
+
     def test_float_stack_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "f.pgm", np.array([[1.5]]))
@@ -125,6 +136,12 @@ class TestCsvFrames:
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(MalformedFile):
+            read_frame_csv(path)
+
+    def test_empty_frame_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(MalformedFile, match="empty.csv:1: no pixel rows"):
             read_frame_csv(path)
 
     def test_non_numeric_rejected(self, tmp_path):
@@ -291,6 +308,8 @@ class TestFrameReader:
          "fringe_period_px must be within float range, got an integer of 401 digits"),
         ({"fringe_period_px": -10 ** 309},
          "fringe_period_px must be within float range, got an integer of 310 digits"),
+        ({"frames": []}, "manifest lists no frames"),
+        ({"format": "tiff"}, "unknown frame format 'tiff'"),
     ])
     def test_manifest_field_of_wrong_type_rejected(self, tmp_path, edit, named):
         frames = [np.zeros((4, 6), dtype=np.uint16)] * 2

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,38 @@ class TestJson:
         path.write_text("[1, 2")
         with pytest.raises(MalformedFile):
             read_pattern_json(path)
+
+    def test_visibility_read_from_the_values(self, tmp_path):
+        pattern = sample_pattern()
+        path = tmp_path / "p.json"
+        write_pattern_json(pattern, path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "visibility": 0.25}))
+        assert read_pattern_json(path).visibility == pattern.visibility != 0.25
+
+
+# Each ended in a TypeError, ValueError or UnicodeDecodeError, and the
+# 0-d columns were read as a pattern that the CSV writer could not iterate.
+@pytest.mark.parametrize("suffix, content, message", [
+    (".json", b"[1, 2]", "expected an object, got list"),
+    (".json", b'{"xs": 1, "values": 2}', "'xs' must be a list of numbers"),
+    (".json", b'{"xs": [0, 1]}', "'values' must be a list of numbers"),
+    (".json", b'{"xs": [[0, 1]], "values": [[1, 2]]}', "'xs' must be a list of numbers"),
+    (".json", b'{"xs": [0], "values": ["1"]}', "'values' must be a list of numbers"),
+    (".json", b'{"xs": [0], "values": [1], "stderrs": 0.1}',
+     "'stderrs' must be a list of numbers"),
+    (".json", b'{"xs": [0, 1], "values": [1, 2], "stderrs": [0.1]}',
+     "stderrs must match values in shape"),
+    (".json", b'{"xs": [0], "values": [1' + b"0" * 400 + b"]}", "int too large"),
+    (".json", b'{"xs": [0], "values": [1\xff]}', "'utf-8' codec can't decode byte 0xff"),
+    (".csv", b"x_rad,g_value\n0.0,1\xff\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["list", "0-d", "no-values", "2-d", "string", "stderrs-number", "stderrs-length",
+        "beyond-float", "json-utf-8", "csv-utf-8"])
+def test_malformed_file_rejected(tmp_path, suffix, content, message):
+    path = tmp_path / f"p{suffix}"
+    path.write_bytes(content)
+    with pytest.raises(MalformedFile, match=re.escape(message)):
+        (read_pattern_json if suffix == ".json" else read_pattern_csv)(path)
 
 
 class TestSvg:

@@ -10,16 +10,17 @@ from scipy import integrate, stats
 from icfsim import (
     SourceModel,
     coherence_envelope,
+    estimate_icf,
+    g2_point,
+    icf_general,
     moment,
     sample_batch,
-    validate,
 )
 from icfsim.errors import (
     CustomModelNotSamplable,
     IcfSimError,
     MissingMoment,
     MomentInequalityViolated,
-    NonpositiveMeanIntensity,
     NonpositiveWidth,
 )
 from icfsim.constants import DEFAULT_SEED
@@ -73,21 +74,23 @@ class TestValidation:
         g2 = 1.7
         g3 = g2 * g2
         g4 = g3 * g3 / g2
-        validate(SourceModel.custom({2: g2, 3: g3, 4: g4}))
+        SourceModel.custom({2: g2, 3: g3, 4: g4})
         for broken in ({2: g2, 3: g3 * (1 - 1e-9), 4: g4},
                        {2: g2, 3: g3, 4: g4 * (1 - 1e-9)},
                        {2: 1 - 1e-9}):
             with pytest.raises(MomentInequalityViolated):
                 SourceModel.custom(broken)
 
-    def test_nonpositive_mean_intensity(self):
-        with pytest.raises(NonpositiveMeanIntensity):
-            SourceModel.coherent(mean_intensity=0.0)
-        with pytest.raises(NonpositiveMeanIntensity):
-            SourceModel.thermal(mean_intensity=-1.0)
-        # inf was accepted, and estimate_icf then gave value = nan, stderr = nan
-        with pytest.raises(NonpositiveMeanIntensity, match="positive and finite, got inf"):
-            SourceModel.coherent(mean_intensity=math.inf)
+    @pytest.mark.parametrize("build", [
+        lambda: SourceModel.thermal(2.0),
+        lambda: SourceModel.coherent(2.0),
+        lambda: SourceModel.custom({2: 2.0}, 2.0),
+        lambda: SourceModel.thermal(mean_intensity=2.0),
+    ], ids=["thermal", "coherent", "custom", "keyword"])
+    def test_a_mean_intensity_is_refused(self, build):
+        # a positional mean would otherwise become the coherence width
+        with pytest.raises(TypeError):
+            build()
 
     def test_named_kinds_hold_no_table(self):
         assert SourceModel.coherent().moments == SourceModel.thermal().moments == {}
@@ -115,8 +118,10 @@ class TestValidation:
         ({True: 2.0}, "orders must be distinct integers >= 2, got True"),
         ({2: 2.0, "2": 3.0}, "orders must be distinct integers >= 2, got '2'"),
         ([2.0, 6.0], "'moments' must be a table of order: g(order), got [2.0, 6.0]"),
+        ({3: 9.0}, "model does not provide the normalized moment of order 2"),
+        ({2: 2.0, 4: 20.0}, "model does not provide the normalized moment of order 3"),
     ], ids=["nan", "inf", "bool", "str", "zero", "key-1", "key-str-1", "key-x",
-            "key-minus-2", "key-float", "key-bool", "key-twice", "list"])
+            "key-minus-2", "key-float", "key-bool", "key-twice", "list", "no-g2", "no-g3"])
     def test_malformed_table_rejected(self, moments, message):
         with pytest.raises(IcfSimError, match=re.escape(message)):
             SourceModel.custom(moments)
@@ -167,7 +172,7 @@ class TestMoment:
 class TestSampling:
     def test_coherent_intensities_exact(self):
         rng = np.random.default_rng(0)
-        ia, ib, theta = sample_batch(SourceModel.coherent(mean_intensity=1.0), rng, 100)
+        ia, ib, theta = sample_batch(SourceModel.coherent(), rng, 100)
         assert np.all(ia == 1.0)
         assert np.all(ib == 1.0)
         assert np.all((0.0 <= theta) & (theta < 2 * np.pi))
@@ -211,7 +216,7 @@ class TestSampling:
     @pytest.mark.parametrize("size", [1, 999, 40_000])
     @pytest.mark.parametrize("kind", ["thermal", "coherent"])
     def test_draws_into_out_are_the_allocating_draws(self, kind, size):
-        model = SourceModel(kind, mean_intensity=2.5)
+        model = SourceModel(kind)
         fresh = sample_batch(model, np.random.default_rng(5), size)
         out = tuple(np.full(size, np.nan) for _ in range(3))
         got = sample_batch(model, np.random.default_rng(5), size, out=out)
@@ -305,6 +310,15 @@ class TestEnvelope:
         env = coherence_envelope(model, [0.0, 2.0])
         assert env[0] == 1.0
         assert env[1] == pytest.approx(math.exp(-0.5))
+
+    def test_phase_past_float_range_when_squared_gives_zero(self):
+        # each warned "overflow encountered in square", an error in this suite
+        model = SourceModel.thermal(coherence_width=2.0)
+        assert coherence_envelope(model, [1e200, -1e200]).tolist() == [0.0, 0.0]
+        assert icf_general(model, [1e200, 0.0]) == 1.5  # (g(2) + 1) / 2: no interference
+        assert g2_point(model, 1e200) == 1.5
+        estimate = estimate_icf(model, [1e200, 0.0], 4000, n_batches=10, seed=4)
+        assert abs(estimate.value - 1.5) < 4 * estimate.stderr
 
 
 class TestDetectorIntensities:
@@ -410,17 +424,16 @@ class TestCosSin:
 
 class TestSerialization:
     def test_from_dict_with_json_string_keys(self):
-        cfg = json.loads('{"kind": "custom", "mean_intensity": 2.0, '
+        cfg = json.loads('{"kind": "custom", '
                          '"moments": {"2": 3.0, "3": 9.5}, "coherence_width": null}')
         model = SourceModel.from_dict(cfg)
         assert model.moments == {2: 3.0, 3: 9.5}
-        assert model.mean_intensity == 2.0
         assert model.coherence_width is None
 
     def test_round_trip(self):
         for model in (SourceModel.coherent(),
-                      SourceModel.thermal(mean_intensity=0.5, coherence_width=6.0),
-                      SourceModel.custom({2: 3.0, 3: 9.5}, 2.0, coherence_width=1.5)):
+                      SourceModel.thermal(coherence_width=6.0),
+                      SourceModel.custom({2: 3.0, 3: 9.5}, coherence_width=1.5)):
             for data in (model.to_dict(), json.loads(json.dumps(model.to_dict()))):
                 assert SourceModel.from_dict(data) == model
 
