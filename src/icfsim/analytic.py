@@ -183,12 +183,16 @@ class InterferencePattern:
         values = np.asarray(self.values, dtype=float)
         if xs.shape != values.shape:
             raise ValueError("xs and values must have matching shapes")
+        if not (np.isfinite(xs).all() and np.isfinite(values).all()):
+            raise ValueError("xs and values must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         if self.stderrs is not None:
             stderrs = np.asarray(self.stderrs, dtype=float)
             if stderrs.shape != values.shape:
                 raise ValueError("stderrs must match values in shape")
+            if not np.all((stderrs >= 0) & (stderrs < math.inf)):
+                raise ValueError("stderrs must be finite and nonnegative")
             object.__setattr__(self, "stderrs", stderrs)
         object.__setattr__(self, "visibility", visibility(values))
 

@@ -440,7 +440,7 @@ def cmd_synth(opts: dict) -> int:
     harmonic = opts["phase_modulation"] == "harmonic"
     if drive and not harmonic:
         raise IcfSimError(f"{' and '.join('--mod-' + key for key in drive)} "
-                          f"need --phase-modulation harmonic")
+                          f"need{'s' if len(drive) == 1 else ''} --phase-modulation harmonic")
     model = SourceModel(opts["kind"])
     optics = FrameOptics(
         fringe_period_px=opts["period_px"],

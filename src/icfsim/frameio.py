@@ -43,16 +43,11 @@ _TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*\n)*([^ \t\r\n#][^ \t\r\n]*)?")
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write one frame as binary 16-bit P5."""
+    """Write a 2-D frame whose pixels pass ``check_pixels`` at 16 bits as P5."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError(f"PGM frames must be 2-D, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.any(arr != np.rint(arr)):
-            raise ValueError("PGM requires integer pixel values; use CSV for float stacks")
-        arr = np.rint(arr)
-    if arr.min() < 0 or arr.max() > 65535:
-        raise ValueError("PGM pixel values must lie in 0..65535")
+    check_pixels(arr, 16)
     height, width = arr.shape
     header = f"P5\n{width} {height}\n65535\n".encode("ascii")
     Path(path).write_bytes(header + arr.astype(">u2").tobytes())
@@ -119,14 +114,11 @@ def write_frame_csv(path, image: np.ndarray) -> None:
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError(f"CSV frames must be 2-D, got shape {arr.shape}")
-    integral = np.issubdtype(arr.dtype, np.integer)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(np.float64)
     with open(path, "w") as fh:
-        for row in arr:
-            if integral:
-                fh.write(",".join(str(int(v)) for v in row))
-            else:
-                fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        for row in arr.tolist():  # Python ints and floats, whose repr is exact
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_frame_csv(path, out: np.ndarray | None = None) -> np.ndarray:

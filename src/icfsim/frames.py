@@ -251,9 +251,10 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
     the stack is reproducible bit-for-bit for any worker count.  Frames are
     rendered in tasks of consecutive frames (``_TASK_PIXELS`` pixels, at
     least one frame), whose split depends on the frame shape only, by
-    ``montecarlo.run_tasks`` on ``workers`` threads.
-    Full-scale pixels are counted into the metadata as ``saturated_pixels``
-    and ``saturated_frames``.
+    ``montecarlo.run_tasks`` on ``workers`` threads.  Every frame goes
+    through one noise chain (Poisson or none, read noise, clamp, rounding
+    under a bit depth); full-scale pixels are counted into the metadata as
+    ``saturated_pixels`` and ``saturated_frames``.
     """
     optics = optics or FrameOptics()
     if n < 1:
@@ -271,13 +272,14 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         raise BadOptics("gaussian_sigma must be finite, got inf")
     if optics.envelope_fwhm_px is not None and not optics.envelope_fwhm_px > 0:
         raise BadOptics(f"envelope_fwhm_px must be positive, got {optics.envelope_fwhm_px!r}")
-
     height, width = optics.frame_height, optics.frame_width
+    if not (height >= 1 and width >= 1):
+        raise BadOptics(f"frame_width and frame_height must be at least 1, got {width}x{height}")
+
     envelope = _envelope_row(width, optics.envelope_fwhm_px)
     column_phase = 2.0 * np.pi * np.arange(width) / optics.fringe_period_px
     scale = peak_level / 4.0
     sigma = optics.noise.gaussian_sigma
-    noisy = optics.noise.poisson or sigma > 0
 
     out = np.empty((n, height, width), dtype=dtype)
     frame_seeds = spawn_seeds(seed, n)
@@ -303,24 +305,19 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
         theta = thetas[start:stop] if thetas is not None else th
         rows = envelope * ((ia + ib)[:, None] + (2.0 * np.sqrt(ia * ib))[:, None]
                            * np.cos(column_phase + theta[:, None])) * scale
-        if not noisy:
-            # a noise-free frame repeats its row, so finish the rows alone
-            # and broadcast them down the frames
-            img = rows[:, None, :]
-        else:
-            img = out[start:stop] if full_scale is None else np.empty((stop - start, height, width))
-            for frame, row, rng in zip(img, rows, rngs):
-                try:
-                    frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
-                        if optics.noise.poisson else row
-                except ValueError as exc:  # a level too large for numpy's Poisson
-                    raise BadOptics(f"peak_level {peak_level!r}: {exc}") from exc
-                if sigma > 0:
-                    frame += rng.normal(0.0, sigma, (height, width))
+        img = np.empty((stop - start, height, width))
+        for frame, row, rng in zip(img, rows, rngs):
+            try:
+                frame[...] = rng.poisson(lam=np.broadcast_to(row, (height, width))) \
+                    if optics.noise.poisson else row
+            except ValueError as exc:  # a level too large for numpy's Poisson
+                raise BadOptics(f"peak_level {peak_level!r}: {exc}") from exc
+            if sigma > 0:
+                frame += rng.normal(0.0, sigma, (height, width))
+        np.clip(img, 0.0, math.inf if full_scale is None else full_scale, out=img)
         if full_scale is None:
-            np.maximum(img, 0.0, out=out[start:stop])
+            out[start:stop] = img
             return 0, 0
-        np.clip(img, 0.0, full_scale, out=img)
         out[start:stop] = np.rint(img, out=img)
         full = out[start:stop] == full_scale
         return int(np.count_nonzero(full)), int(np.count_nonzero(full.any(axis=(1, 2))))

@@ -16,29 +16,23 @@ import numpy as np
 from .analytic import InterferencePattern
 from .errors import MalformedFile
 
+_KEYS = ("xs", "values", "stderrs")
+# the CSV header of each column count
+_CSV_HEADERS = {2: "x_rad,g_value", 3: "x_rad,g_value,stderr"}
+
 
 def pattern_to_dict(pattern: InterferencePattern) -> dict:
-    return {
-        "xs": [float(v) for v in pattern.xs],
-        "values": [float(v) for v in pattern.values],
-        "stderrs": None if pattern.stderrs is None
-        else [float(v) for v in pattern.stderrs],
-        "visibility": float(pattern.visibility),
-    }
+    columns = {key: getattr(pattern, key) for key in _KEYS}
+    return {**{key: None if c is None else c.tolist() for key, c in columns.items()},
+            "visibility": float(pattern.visibility)}
 
 
-def pattern_from_dict(data: dict) -> InterferencePattern:
-    """The pattern of ``xs`` and ``values``, lists of numbers, and ``stderrs``,
-    one or null; TypeError, ValueError or OverflowError otherwise."""
-    if not isinstance(data, dict):
-        raise TypeError(f"expected an object, got {type(data).__name__}")
-    columns = [data.get(key) for key in ("xs", "values", "stderrs")]
-    for key, column in zip(("xs", "values", "stderrs"), columns):
-        if not (isinstance(column, list) and all(type(v) in (int, float) for v in column)
-                or key == "stderrs" and column is None):
-            raise TypeError(f"'{key}' must be a list of numbers")
-    xs, values, stderrs = (None if c is None else np.array(c, dtype=float) for c in columns)
-    return InterferencePattern(xs=xs, values=values, stderrs=stderrs)
+def _pattern(path, kind: str, xs, values, stderrs=None) -> InterferencePattern:
+    """The pattern of the columns read from ``path``; a ValueError as MalformedFile."""
+    try:
+        return InterferencePattern(xs=xs, values=values, stderrs=stderrs)
+    except ValueError as exc:
+        raise MalformedFile(path, f"invalid pattern {kind}: {exc}") from None
 
 
 def write_pattern_json(pattern: InterferencePattern, path) -> None:
@@ -46,23 +40,29 @@ def write_pattern_json(pattern: InterferencePattern, path) -> None:
 
 
 def read_pattern_json(path) -> InterferencePattern:
+    """The pattern of a JSON object of number lists xs, values and stderrs (or null)."""
     path = Path(path)
     try:
-        return pattern_from_dict(json.loads(path.read_text()))
-    except (ValueError, TypeError, OverflowError) as exc:  # ValueError: JSON, UTF-8, shapes
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        columns = [data.get(key) for key in _KEYS]
+        for key, column in zip(_KEYS, columns):
+            if not (isinstance(column, list) and all(type(v) in (int, float) for v in column)
+                    or key == "stderrs" and column is None):
+                raise TypeError(f"'{key}' must be a list of numbers")
+        columns = [None if c is None else np.array(c, dtype=float) for c in columns]
+    except (ValueError, TypeError, OverflowError) as exc:  # ValueError: JSON, UTF-8
         raise MalformedFile(path, f"invalid pattern JSON: {exc}") from None
+    return _pattern(path, "JSON", *columns)
 
 
 def write_pattern_csv(pattern: InterferencePattern, path) -> None:
+    columns = [c for c in (pattern.xs, pattern.values, pattern.stderrs) if c is not None]
     with open(path, "w") as fh:
-        if pattern.stderrs is None:
-            fh.write("x_rad,g_value\n")
-            for x, v in zip(pattern.xs, pattern.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x_rad,g_value,stderr\n")
-            for x, v, e in zip(pattern.xs, pattern.values, pattern.stderrs):
-                fh.write(f"{float(x)!r},{float(v)!r},{float(e)!r}\n")
+        fh.write(_CSV_HEADERS[len(columns)] + "\n")
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_pattern_csv(path) -> InterferencePattern:
@@ -72,26 +72,19 @@ def read_pattern_csv(path) -> InterferencePattern:
     except UnicodeDecodeError as exc:
         raise MalformedFile(path, f"invalid pattern CSV: {exc}") from None
     header = header.strip()
-    if header not in ("x_rad,g_value", "x_rad,g_value,stderr"):
+    width = {text: n for n, text in _CSV_HEADERS.items()}.get(header)
+    if width is None:
         raise MalformedFile(path, f"unexpected header {header!r}", line=1)
-    with_err = header.endswith(",stderr")
-    xs, values, errs = [], [], []
+    rows = []
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != (3 if with_err else 2):
-            raise MalformedFile(path, f"expected {3 if with_err else 2} columns", line=lineno)
+        if len(parts) != width:
+            raise MalformedFile(path, f"expected {width} columns", line=lineno)
         try:
-            xs.append(float(parts[0]))
-            values.append(float(parts[1]))
-            if with_err:
-                errs.append(float(parts[2]))
+            rows.append([float(v) for v in parts])
         except ValueError:
             raise MalformedFile(path, "non-numeric value", line=lineno) from None
-    if not xs:
-        raise MalformedFile(path, "no data rows", line=1)
-    return InterferencePattern(
-        xs=np.array(xs), values=np.array(values),
-        stderrs=np.array(errs) if with_err else None)
+    return _pattern(path, "CSV", *np.array(rows, dtype=float).reshape(-1, width).T)

@@ -528,7 +528,8 @@ class TestFramesCli:
         code, text, err = run(capsys, "synth", "--frames", "2", "--frame-height", "2",
                               *flags, "--out", str(stack_dir))
         assert code == 1
-        assert err == f"error: {named} need --phase-modulation harmonic\n"
+        verb = "need" if " and " in named else "needs"
+        assert err == f"error: {named} {verb} --phase-modulation harmonic\n"
         assert text == "" and not stack_dir.exists()
 
     @pytest.mark.parametrize("key", ["mod_amplitude", "mod-frequency"])

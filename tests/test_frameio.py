@@ -11,6 +11,7 @@ from icfsim import (
     FrameOptics,
     FrameReader,
     FrameStack,
+    InterferencePattern,
     NoiseModel,
     RoiSpec,
     SourceModel,
@@ -18,6 +19,7 @@ from icfsim import (
     roi_average,
     save_frames,
     synth_frames,
+    write_pattern_csv,
 )
 import icfsim.frameio as frameio
 import icfsim.frames as frames_module
@@ -109,6 +111,25 @@ class TestPgm:
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "f.pgm", np.array([[1.5]]))
 
+    # check_pixels at 16 bits is the PGM pixel rule, and nothing is written
+    # for a frame that fails it
+    @pytest.mark.parametrize("image, message", [
+        (np.array([[1.5]]), "bit-depth-limited stacks must hold integer values"),
+        (np.array([[math.nan]]), "pixel values must be finite"),
+        (np.array([[-1]]), "pixel values must be nonnegative"),
+        (np.array([[65536]], dtype=np.uint32), "pixel values exceed the 16-bit range"),
+    ], ids=["fraction", "nan", "negative", "beyond-16-bit"])
+    def test_pixel_rule_messages(self, tmp_path, image, message):
+        path = tmp_path / "f.pgm"
+        with pytest.raises(ValueError, match=message):
+            write_pgm(path, image)
+        assert not path.exists()
+
+    def test_integral_float_frame_written_as_its_integers(self, tmp_path):
+        write_pgm(tmp_path / "f.pgm", np.array([[0.0, -0.0, 7.0, 65535.0]]))
+        write_pgm(tmp_path / "i.pgm", np.array([[0, 0, 7, 65535]], dtype=np.uint16))
+        assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "i.pgm").read_bytes()
+
 
 class TestCsvFrames:
     def test_integer_round_trip(self, tmp_path):
@@ -150,6 +171,45 @@ class TestCsvFrames:
         with pytest.raises(MalformedFile) as err:
             read_frame_csv(path)
         assert err.value.line == 2
+
+
+def per_element_frame_csv(image):
+    """A CSV frame as the writer once formatted it, one element at a time."""
+    integral = np.issubdtype(image.dtype, np.integer)
+    return "".join(",".join(str(int(v)) if integral else repr(float(v)) for v in row) + "\n"
+                   for row in image)
+
+
+def per_element_pattern_csv(pattern):
+    """A pattern CSV as the writer once formatted it, one element at a time."""
+    if pattern.stderrs is None:
+        return "x_rad,g_value\n" + "".join(
+            f"{float(x)!r},{float(v)!r}\n" for x, v in zip(pattern.xs, pattern.values))
+    return "x_rad,g_value,stderr\n" + "".join(
+        f"{float(x)!r},{float(v)!r},{float(e)!r}\n"
+        for x, v, e in zip(pattern.xs, pattern.values, pattern.stderrs))
+
+
+def test_csv_writers_match_per_element_formatters(tmp_path):
+    specials = [-0.0, 5e-324, 0.1, 1e308, 2 ** 53 + 1]
+    tiny32, max32 = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+    frames = {
+        "uint16": np.array([[0, 1, 65535], [7, 300, 4095]], dtype=np.uint16),
+        "int64": np.array([[-2 ** 63, -1, 0], [1, 2 ** 53 + 1, 2 ** 63 - 1]], dtype=np.int64),
+        "uint64": np.array([[0, 2 ** 64 - 1]], dtype=np.uint64),
+        "float64": np.array([specials, specials[::-1]], dtype=np.float64),
+        "float32": np.array([[-0.0, tiny32, 0.1], [max32, 2 ** 53 + 1, 1.5]], dtype=np.float32),
+    }
+    for name, image in frames.items():
+        path = tmp_path / f"{name}.csv"
+        write_frame_csv(path, image)
+        assert path.read_text() == per_element_frame_csv(image), name
+    xs = np.array(specials)
+    for stderrs in (None, np.array(specials[::-1])):
+        pattern = InterferencePattern(xs=xs, values=np.array(specials[::-1]), stderrs=stderrs)
+        path = tmp_path / "pattern.csv"
+        write_pattern_csv(pattern, path)
+        assert path.read_text() == per_element_pattern_csv(pattern), stderrs is None
 
 
 class TestStackRoundTrip:

@@ -132,6 +132,12 @@ class TestSynth:
                                                bit_depth=None), n=1, seed=1)
         with pytest.raises(BadOptics, match="fringe_period_px"):
             synth_frames(COHERENT, FrameOptics(fringe_period_px=math.inf), n=1, seed=1)
+        # a frame of no width or height ended in a ZeroDivisionError, a
+        # negative width in numpy's "negative dimensions" ValueError
+        for optics in (FrameOptics(frame_width=0), FrameOptics(frame_height=0),
+                       FrameOptics(frame_width=-3)):
+            with pytest.raises(BadOptics, match="frame_width and frame_height must be at least 1"):
+                synth_frames(COHERENT, optics, n=3)
 
     @pytest.mark.parametrize("bit_depth, dtype, full_scale", [
         (None, np.float64, None), (1, np.uint16, 1), (8, np.uint16, 255),
@@ -221,6 +227,27 @@ class TestRenderTasks:
         stack = synth_frames(model, optics, n=300, seed=seed, workers=workers)
         assert stack.frames.dtype == np.uint16
         assert sha(stack.frames) == digest
+
+    # One thermal stack rendered four ways, with its SHA-256 and saturation
+    # counts pinned while noise-free stacks broadcast their rows and float
+    # stacks rendered into the output in place.
+    @pytest.mark.parametrize("bit_depth, noise, digest, saturated", [
+        (None, NoiseModel.none(),
+         "2b35ac53a4586f79ebad03726627491a0419a499999516482e4de31ac2ebc522", (0, 0)),
+        (None, NoiseModel(gaussian_sigma=300.0),
+         "c97ea504e5fcf3a3e1131604cc5669d094b686f1a8fd2db0c5983ab1cfea58ad", (0, 0)),
+        (12, NoiseModel.none(),
+         "2b262a610c7a301790d4600e72bcc2d645266dfa1d44f12af0343a447fc9977f", (205, 2)),
+        (12, NoiseModel(gaussian_sigma=300.0),
+         "e5a2d9d5046f2c457fe5279b61d532b6d6e39753f28bc70a92ac10cda74e5d7a", (198, 3)),
+    ], ids=["float-noise-free", "float-noisy", "12-bit-noise-free", "12-bit-noisy"])
+    def test_noise_chain_matches_pin(self, bit_depth, noise, digest, saturated):
+        optics = FrameOptics(frame_width=97, frame_height=5, peak_level=3000.0,
+                             envelope_fwhm_px=60.0, noise=noise, bit_depth=bit_depth)
+        stack = synth_frames(THERMAL, optics, n=23, seed=5)
+        assert sha(stack.frames) == digest
+        assert (stack.metadata["saturated_pixels"], stack.metadata["saturated_frames"]) \
+            == saturated
 
     @pytest.mark.parametrize("name", RENDER_CASES)
     def test_frames_equal_across_task_splits_and_workers(self, name, monkeypatch):

@@ -11,7 +11,7 @@ from icfsim import (
     write_pattern_csv,
     write_pattern_json,
 )
-from icfsim.errors import MalformedFile
+from icfsim.errors import EmptyPattern, MalformedFile
 from icfsim.svgplot import write_pattern_svg
 
 
@@ -114,6 +114,51 @@ def test_malformed_file_rejected(tmp_path, suffix, content, message):
     path = tmp_path / f"p{suffix}"
     path.write_bytes(content)
     with pytest.raises(MalformedFile, match=re.escape(message)):
+        (read_pattern_json if suffix == ".json" else read_pattern_csv)(path)
+
+
+# Each was read as a pattern whose visibility, or its error, came out nan
+# or of the wrong sign.
+@pytest.mark.parametrize("suffix, content, message", [
+    (".csv", "x_rad,g_value\n0.0,nan\n1.0,2.0\n", "xs and values must be finite"),
+    (".csv", "x_rad,g_value\n0.0,1.0\ninf,2.0\n", "xs and values must be finite"),
+    (".csv", "x_rad,g_value,stderr\n0.0,1.0,-1\n1.0,2.0,0.1\n",
+     "stderrs must be finite and nonnegative"),
+    (".csv", "x_rad,g_value,stderr\n0.0,1.0,0.1\n1.0,2.0,nan\n",
+     "stderrs must be finite and nonnegative"),
+    (".json", '{"xs": [0, 1], "values": [NaN, 2]}', "xs and values must be finite"),
+    (".json", '{"xs": [0, Infinity], "values": [1, 2]}', "xs and values must be finite"),
+    (".json", '{"xs": [0, 1], "values": [1, 2], "stderrs": [-1, 0.1]}',
+     "stderrs must be finite and nonnegative"),
+    (".json", '{"xs": [0, 1], "values": [1, 2], "stderrs": [0.1, -Infinity]}',
+     "stderrs must be finite and nonnegative"),
+], ids=["csv-nan-value", "csv-inf-x", "csv-negative-stderr", "csv-nan-stderr",
+        "json-nan-value", "json-inf-x", "json-negative-stderr", "json-inf-stderr"])
+def test_non_finite_or_negative_columns_rejected(tmp_path, suffix, content, message):
+    path = tmp_path / f"p{suffix}"
+    path.write_text(content)
+    kind = suffix[1:].upper()
+    with pytest.raises(MalformedFile, match=re.escape(f"invalid pattern {kind}: {message}")):
+        (read_pattern_json if suffix == ".json" else read_pattern_csv)(path)
+
+
+@pytest.mark.parametrize("values, stderrs", [
+    ([1.0, np.inf], None), ([np.nan, 1.0], None), ([1.0, 2.0], [0.1, -0.1]),
+    ([1.0, 2.0], [0.1, np.nan])])
+def test_pattern_rejects_non_finite_columns(values, stderrs):
+    with pytest.raises(ValueError, match="must be finite"):
+        InterferencePattern(xs=[0.0, 1.0], values=values, stderrs=stderrs)
+
+
+# the CSV reader raised MalformedFile ("no data rows") and the JSON reader
+# EmptyPattern
+@pytest.mark.parametrize("suffix, content", [
+    (".csv", "x_rad,g_value\n"), (".csv", "x_rad,g_value,stderr\n\n"),
+    (".json", '{"xs": [], "values": []}')], ids=["csv", "csv-stderr", "json"])
+def test_empty_pattern_raises_empty_pattern_in_both_formats(tmp_path, suffix, content):
+    path = tmp_path / f"p{suffix}"
+    path.write_text(content)
+    with pytest.raises(EmptyPattern):
         (read_pattern_json if suffix == ".json" else read_pattern_csv)(path)
 
 
