@@ -21,7 +21,6 @@ from .analytic import (
 )
 from .constants import DEFAULT_SEED
 from .expansion import (
-    assignments_enumerated,
     icf_general,
     term_count,
     verify_closed_form,

@@ -465,11 +465,7 @@ def cmd_synth(opts: dict) -> int:
 def cmd_process(opts: dict) -> int:
     _file_path(opts["out"])  # a prefix of the written files, checked before any read
     reader = FrameReader(opts["stack"], fringe_period_px=opts["period_px"])
-    height, width = reader.shape
-    x0, y0, w, h = opts["roi"] or (0, 0, width, height)
-    ref_col = opts["ref_col"]
-    roi = RoiSpec(x0=x0, y0=y0, width=w, height=h,
-                  reference_column=ref_col if ref_col is not None else w // 2)
+    roi = RoiSpec(*opts["roi"] or (), reference_column=opts["ref_col"]).fit(reader.shape)
     series = roi_average(reader, roi)
     _warn_saturated(reader.metadata.get("bit_depth"), series.saturated_pixels,
                     series.n_frames * roi.width * roi.height)

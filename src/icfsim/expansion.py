@@ -52,12 +52,13 @@ _A, _B, _PLUS, _MINUS = range(4)
 
 
 @lru_cache(maxsize=None)
-def _expand(n: int):
-    """Decode all 4^n token assignments once; keep the theta-balanced ones.
+def _table(n: int):
+    """Term table ``(k_a, k_b, signs)``: moment orders and int8 sign rows,
+    ``signs[t, j]`` being +1/-1/0 for a +/-/bare token at detector j of term t.
 
+    All 4^n assignments are decoded once and the theta-balanced ones kept.
     Row i holds the base-4 digits of i, most significant first, so rows come
-    in ``itertools.product((A, B, +, -), repeat=n)`` order.  Returns the term
-    table (see ``_table``) and the number of rows decoded.
+    in ``itertools.product((A, B, +, -), repeat=n)`` order.
     """
     if not 1 <= n <= MAX_ORDER:
         raise OrderTooLarge(n, MAX_ORDER)
@@ -67,48 +68,31 @@ def _expand(n: int):
     keep = signs.sum(axis=1) == 0
     # k_a counts A and + tokens; k_b = n - k_a counts B and - tokens
     k_a = np.count_nonzero((tokens[keep] == _A) | (tokens[keep] == _PLUS), axis=1)
-    return (k_a, n - k_a, signs[keep]), len(index)
-
-
-def _table(n: int):
-    """Term table ``(k_a, k_b, signs)``: moment orders and int8 sign rows,
-    ``signs[t, j]`` being +1/-1/0 for a +/-/bare token at detector j of term t.
-    """
-    return _expand(n)[0]
+    return k_a, n - k_a, signs[keep]
 
 
 @lru_cache(maxsize=None)
 def _grouped(n: int):
-    """The term table folded by sign row.
+    """The term table folded by sign row, with its phase basis.
 
-    Returns the unique sign rows, a ``(rows, n + 1)`` matrix counting each
-    row's terms by ``k_a``, and the mask of detectors a row's phase involves.
+    Returns ``(rows, counts, active, basis, plus, minus)``: the unique sign
+    rows, a ``(rows, n + 1)`` matrix counting each row's terms by ``k_a``,
+    the mask of detectors a row's phase involves, and the basis: with one
+    exponential E per basis row, sign row t's factor is E[plus[t]]
+    conj(E[minus[t]]).  The basis is the sign rows (``plus`` and ``minus``
+    None) while 2 * 2^n exceeds their number, else the 2^n detector
+    subsets, bit j of s marking detector j in row s.
     """
     k_a, _, signs = _table(n)
     rows, row_of = np.unique(signs, axis=0, return_inverse=True)
     counts = np.zeros((len(rows), n + 1))
     np.add.at(counts, (row_of.ravel(), k_a), 1.0)
-    return rows.astype(float), counts, rows != 0
-
-
-@lru_cache(maxsize=None)
-def _phase_basis(n: int):
-    """``(basis, plus, minus)``: one exponential per basis row, then sign row
-    t's factor is ``E[plus[t]] * conj(E[minus[t]])``.  The basis is the sign
-    rows (``plus`` and ``minus`` None) while 2 * 2^n exceeds their number,
-    else the 2^n detector subsets, bit j of s marking detector j in row s.
-    """
-    rows = _grouped(n)[0]
+    rows = rows.astype(float)
     if 2 * 2 ** n > len(rows):
-        return rows, None, None
+        return rows, counts, rows != 0, rows, None, None
     bits = 1 << np.arange(n)
     basis = ((np.arange(2 ** n)[:, None] & bits) != 0).astype(float)
-    return basis, (rows > 0) @ bits, (rows < 0) @ bits
-
-
-def assignments_enumerated(n: int) -> int:
-    """Raw assignments actually decoded by the expansion (4^n of them)."""
-    return _expand(n)[1]
+    return rows, counts, rows != 0, basis, (rows > 0) @ bits, (rows < 0) @ bits
 
 
 def term_count(n: int) -> int:
@@ -131,24 +115,18 @@ def _model_weights(g: tuple) -> np.ndarray:
     return w
 
 
-def _sums(g: np.ndarray, delta: np.ndarray, env=None):
+def _sums(w: np.ndarray, delta: np.ndarray, env=None):
     """Unnormalized complex expansion sums; imaginary parts must cancel.
 
-    ``delta`` holds the detector phases, shape (n,) or (trials, n); ``g``
-    holds g(0..n) for each trial, shape (n + 1,) or (trials, n + 1); ``env``
-    is None or the envelope factors, shaped like ``delta``.  Each trial runs
-    the same matrix-vector products, gathers and contiguous sum as a single
-    call, so a batched value equals the one-trial value bit for bit.
+    ``delta`` holds the detector phases, shape (n,) or (trials, n), ``w``
+    each trial's sign-row moment weights (``_weights``), and ``env`` None or
+    the envelope factors, shaped like ``delta``.  Each trial runs the same
+    matrix-vector products, gathers and contiguous sum as a single call, so
+    a batched value equals the one-trial value bit for bit.
     """
-    return _weighted_sums(_weights(g), delta, env)
-
-
-def _weighted_sums(w: np.ndarray, delta: np.ndarray, env=None):
-    """``_sums`` given the sign rows' moment weights ``w``."""
-    n = delta.shape[-1]
-    basis, plus, minus = _phase_basis(n)
+    _, _, active, basis, plus, minus = _grouped(delta.shape[-1])
     if env is not None:
-        w = w * np.prod(np.where(_grouped(n)[2], env[..., None, :], 1.0), axis=-1)
+        w = w * np.prod(np.where(active, env[..., None, :], 1.0), axis=-1)
     terms = 1j * (basis @ delta[..., None])[..., 0]
     np.exp(terms, out=terms)
     if plus is not None:
@@ -157,14 +135,6 @@ def _weighted_sums(w: np.ndarray, delta: np.ndarray, env=None):
         terms = terms.take(plus, -1) * terms.conj().take(minus, -1)
     terms *= w
     return np.add.reduce(terms, -1)
-
-
-def _icf_sum(model: SourceModel, delta: np.ndarray) -> complex:
-    """Unnormalized complex expansion sum for one phase list."""
-    _grouped(delta.size)  # OrderTooLarge before any missing moment
-    g = (1.0, 1.0, *(moment(model, k) for k in range(2, delta.size + 1)))
-    env = None if model.coherence_width is None else coherence_envelope(model, delta)
-    return complex(_weighted_sums(_model_weights(g), delta, env))
 
 
 def _residue_error(residue: float, n: int) -> ArithmeticError:
@@ -185,7 +155,10 @@ def icf_general(model: SourceModel, delta) -> float:
         raise ValueError(f"delta must be a non-empty 1-D list of finite phases with a "
                          f"finite absolute sum, got {delta.tolist()}")
     n = delta.size
-    total = _icf_sum(model, delta)
+    _grouped(n)  # OrderTooLarge before any missing moment
+    g = (1.0, 1.0, *(moment(model, k) for k in range(2, n + 1)))
+    env = None if model.coherence_width is None else coherence_envelope(model, delta)
+    total = complex(_sums(_model_weights(g), delta, env))
     scale = 2.0 ** -n
     value = total.real * scale
     residue = abs(total.imag) * scale
@@ -232,7 +205,7 @@ def verify_closed_form(order: int, trials: int, seed: int | None = None) -> floa
             i = int(np.argmax(violated))
             SourceModel.custom({2: g2[i], 3: g3[i], 4: g4[i]})  # raises the model's error
         ones = np.ones_like(g2)
-        total = _sums(np.stack((ones, ones, g2, g3, g4), axis=-1)[:, :order + 1], delta)
+        total = _sums(_weights(np.stack((ones, ones, g2, g3, g4), axis=-1)[:, :order + 1]), delta)
         value = total.real * 2.0 ** -order
         residue = np.abs(total.imag) * 2.0 ** -order
         bad = ~(residue <= 1e-12 * np.maximum(1.0, np.abs(value)))

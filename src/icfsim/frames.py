@@ -38,6 +38,7 @@ from .errors import (
     AllZeroPattern,
     BadOptics,
     DivisionByZeroMean,
+    IcfSimError,
     ReferenceOutOfRange,
     RoiOutOfBounds,
 )
@@ -185,14 +186,23 @@ class FrameStack:
 class RoiSpec:
     """Pixel rectangle averaged over rows, with the x = 0 reference column.
 
-    ``reference_column`` is relative to the ROI's left edge.
+    ``reference_column`` is relative to the ROI's left edge.  ``fit`` runs a
+    size left None to the frame's edge and puts a reference left None at
+    ``width // 2``, so ``RoiSpec()`` is the whole frame.
     """
 
     x0: int = 0
     y0: int = 0
-    width: int = 600
-    height: int = 50
-    reference_column: int = 300
+    width: int | None = None
+    height: int | None = None
+    reference_column: int | None = None
+
+    def fit(self, shape: tuple) -> "RoiSpec":
+        """This ROI on a frame of ``shape`` (height, width), every field set."""
+        w = shape[1] - self.x0 if self.width is None else self.width
+        h = shape[0] - self.y0 if self.height is None else self.height
+        return RoiSpec(self.x0, self.y0, w, h,
+                       w // 2 if self.reference_column is None else self.reference_column)
 
 
 @dataclass(frozen=True)
@@ -359,6 +369,7 @@ def _sum_dtype(dtype: np.dtype, rows: int):
     return np.uint32 if bound <= np.iinfo(np.uint32).max else np.uint64
 
 
+@np.errstate(over="ignore")  # a sum past float range is inf, rejected at the end
 def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
     """Row-average the ROI of every frame into 1-D intensity profiles.
 
@@ -370,8 +381,8 @@ def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
     other pixels take the float64 mean.  ROI pixels at full scale are
     counted once per block.
     """
-    roi = roi or RoiSpec()
     height, width = stack.shape
+    roi = (roi or RoiSpec()).fit((height, width))
     if (roi.x0 < 0 or roi.y0 < 0 or roi.width < 1 or roi.height < 1
             or roi.x0 + roi.width > width or roi.y0 + roi.height > height):
         raise RoiOutOfBounds(
@@ -395,6 +406,8 @@ def roi_average(stack, roi: RoiSpec | None = None) -> ProcessedSeries:
         if full_scale is not None:
             saturated += int(np.count_nonzero(crop == full_scale))
         start += len(block)
+    if not math.isfinite(profiles.sum()):
+        raise IcfSimError("the ROI averages of these frames overflow float range")
     return ProcessedSeries(profiles=profiles,
                            reference_column=roi.reference_column,
                            pixel_to_phase=2.0 * np.pi / stack.fringe_period_px,
@@ -432,6 +445,7 @@ def _scheme_profile(series: ProcessedSeries, order: int, scheme: str,
             "mean profile vanishes at a column used by the correlation arguments")
 
     factors = profiles[:, column_sets]  # (n_frames, n_points, n_args)
+    factors *= 2.0 ** -math.frexp(peak)[1]  # a power of two: products in range, same ratios
     values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
     return InterferencePattern(xs=xs_px * series.pixel_to_phase,
                                values=values, stderrs=stderrs)

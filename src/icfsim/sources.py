@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -64,14 +65,17 @@ class SourceModel:
             order = int(k) if str(k).isdecimal() else 0  # not bools: str(True) is "True"
             if order < 2 or order in table:
                 raise IcfSimError(f"'moments' orders must be distinct integers >= 2, got {k!r}")
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
-                raise MomentInequalityViolated(
-                    order, v, 0.0, f"moment g({order}) must be a positive finite number, got {v!r}")
+            big = isinstance(v, int) and v > sys.float_info.max  # float(v) would overflow
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if big or not (real and 0 < v < math.inf):
+                shown = "an integer beyond float range" if big else repr(v)
+                raise MomentInequalityViolated(order, v, 0.0, f"moment g({order}) must be a "
+                                               f"positive finite number, got {shown}")
             table[order] = float(v)
         object.__setattr__(self, "moments", table)
-        if self.coherence_width is not None and not self.coherence_width > 0:
-            raise NonpositiveWidth(
-                f"coherence_width must be positive, got {self.coherence_width!r}")
+        w = self.coherence_width  # 2 w^2, the envelope's divisor, must not underflow to 0
+        if w is not None and not (w > 0 and 2.0 * w * w > 0):
+            raise NonpositiveWidth(f"coherence_width must be positive with 2 w^2 > 0, got {w!r}")
         g2, g3, g4 = (table.get(k) for k in (2, 3, 4))
         if g2 is not None and g2 < 1.0:
             raise MomentInequalityViolated(2, g2, 1.0)

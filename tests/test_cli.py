@@ -690,17 +690,20 @@ class TestConfig:
         assert text == "" and not (tmp_path / "p.csv").exists()
 
     # NaN printed "visibility = nan" and exited 0, True and key "1" were
-    # accepted or ignored, and "x", a list and "abc" ended in a traceback
+    # accepted or ignored, and "x", a list, "abc" and a 401-digit integer
+    # ended in a traceback
     @pytest.mark.parametrize("command", ["analytic", "mc"])
     @pytest.mark.parametrize("moments, message", [
         ({"2": math.nan, "3": 6.0}, "moment g(2) must be a positive finite number, got nan"),
+        ({"2": 10 ** 400},
+         "moment g(2) must be a positive finite number, got an integer beyond float range"),
         ({"2": 2.0, "x": 6.0}, "'moments' orders must be distinct integers >= 2, got 'x'"),
         ([2.0, 6.0], "'moments' must be a table of order: g(order), got [2.0, 6.0]"),
         ({"2": "abc"}, "moment g(2) must be a positive finite number, got 'abc'"),
         ({"2": True, "3": True}, "moment g(2) must be a positive finite number, got True"),
         ({"1": 1.0, "2": 2.0}, "'moments' orders must be distinct integers >= 2, got '1'"),
         ({}, "custom models need a 'moments' table in the --config file"),
-    ], ids=["nan", "key-x", "list", "abc", "true", "key-1", "empty"])
+    ], ids=["nan", "int-beyond-float", "key-x", "list", "abc", "true", "key-1", "empty"])
     def test_malformed_moments_table_exit_1(self, tmp_path, capsys, command, moments,
                                             message):
         config = tmp_path / "run.json"

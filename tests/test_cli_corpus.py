@@ -68,6 +68,10 @@ CASES = {
          "--format", "csv", "--envelope-fwhm-px", "40", "--peak-level", "80000",
          "--out", "s16"],
         ["process", "s16", "--period-px", "60"]]),
+    "synth-float-1e103-process": ({}, [
+        ["synth", *_SMALL_STACK, "--bit-depth", "0", "--format", "csv", "--no-poisson",
+         "--noise-sigma", "0", "--peak-level", "1e103", "--out", "big"],
+        ["process", "big"]]),
     # exit 1: data errors
     "analytic-custom-without-moments": ({}, [["analytic", "--kind", "custom"]]),
     "analytic-scheme-order-mismatch": ({}, [["analytic", "--order", "4",
@@ -78,6 +82,10 @@ CASES = {
     "analytic-width-beyond-float-range": (
         {"run.json": '{"coherence_width": 1' + "0" * 400 + "}"},
         [["analytic", "--config", "run.json"]]),
+    "analytic-moment-beyond-float-range": (
+        {"run.json": '{"moments": {"2": 1' + "0" * 400 + "}}"},
+        [["analytic", "--config", "run.json", "--kind", "custom"]]),
+    "analytic-width-underflow": ({}, [["analytic", "--coherence-width", "1e-200"]]),
     "analytic-invalid-json": ({"run.json": '{"kind": '}, [["analytic", "--config", "run.json"]]),
     "mc-custom-not-samplable": ({"run.json": {"kind": "custom", "moments": {"2": 2.0}}},
                                 [["mc", "--config", "run.json", *_SMALL_MC]]),
@@ -93,6 +101,10 @@ CASES = {
                                    [["process", "missing", "--config", "run.json"]]),
     "process-unknown-format": ({"bad/manifest.json": {"format": "tiff", "frames": ["f"]}},
                                [["process", "bad"]]),
+    "synth-float-1e307-process-overflow": ({}, [
+        ["synth", *_SMALL_STACK, "--bit-depth", "0", "--format", "csv", "--no-poisson",
+         "--noise-sigma", "0", "--peak-level", "1e307", "--out", "big"],
+        ["process", "big"]]),
     # exit 2: usage errors, and help (exit 0)
     "usage-none": ({}, [[]]),
     "usage-unknown-command": ({}, [["bogus"]]),

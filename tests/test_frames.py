@@ -27,6 +27,7 @@ from icfsim import (
 from icfsim.errors import (
     BadOptics,
     DivisionByZeroMean,
+    IcfSimError,
     ReferenceOutOfRange,
     RoiOutOfBounds,
 )
@@ -387,6 +388,23 @@ class TestRoiAverage:
         no_depth = FrameStack(frames=frames, fringe_period_px=4.0)
         assert roi_average(no_depth, roi).saturated_pixels == 0
 
+    # RoiSpec() was 600x50 whatever the frame, so this raised RoiOutOfBounds
+    def test_default_roi_is_the_whole_frame(self):
+        rng = np.random.default_rng(1)
+        stack = FrameStack(frames=rng.uniform(0, 5, (4, 5, 97)), fringe_period_px=9.0)
+        whole = roi_average(stack, RoiSpec(0, 0, 97, 5, 48))
+        default = roi_average(stack)
+        assert np.array_equal(default.profiles, whole.profiles)
+        assert default.reference_column == whole.reference_column == 48
+        assert RoiSpec(x0=3, y0=1).fit((5, 97)) == RoiSpec(3, 1, 94, 4, 47)
+
+    # the row sums of 1e308 and the total of 1e307 overflow
+    @pytest.mark.parametrize("pixel", [1e308, 1e307])
+    def test_sums_beyond_float_range_rejected(self, pixel):
+        stack = FrameStack(frames=np.full((4, 2, 6), pixel), fringe_period_px=3.0)
+        with pytest.raises(IcfSimError, match="overflow float range"):
+            roi_average(stack)
+
     def test_out_of_bounds(self):
         stack = synth_frames(COHERENT, SMALL_NOISELESS, n=1, seed=10)
         with pytest.raises(RoiOutOfBounds):
@@ -442,6 +460,19 @@ class TestCorrelationProfiles:
                                             grid=g4.xs))
         assert np.all(np.abs(g3.values - truth3.values) <= 5 * g3.stderrs)
         assert np.all(np.abs(g4.values - truth4.values) <= 5 * g4.stderrs)
+
+    # at 2^340 the fourth-order products overflowed and process ended in a
+    # ValueError; a power-of-two scale keeps every value and stderr bit
+    @pytest.mark.parametrize("power", [-40, 340])
+    def test_profiles_independent_of_a_power_of_two_scale(self, power):
+        p = np.random.default_rng(44).uniform(1.0, 2.0, (40, 64))
+        series = ProcessedSeries(profiles=p, reference_column=32, pixel_to_phase=0.1)
+        scaled = ProcessedSeries(profiles=p * 2.0 ** power, reference_column=32,
+                                 pixel_to_phase=0.1)
+        for profile in (g3_profile, g4_profile):
+            a, b = profile(series, n_batches=4), profile(scaled, n_batches=4)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.stderrs.tobytes() == b.stderrs.tobytes()
 
     def test_admissible_ranges_follow_reference(self):
         stack = synth_frames(COHERENT, NOISELESS, n=5, seed=12)

@@ -101,12 +101,14 @@ class TestValidation:
         with pytest.raises(IcfSimError, match=f"'moments' table is for custom models, not {kind}$"):
             SourceModel(kind, moments={2: 2.0, 3: 6.0})
 
-    # NaN, inf, True, "2.0", the keys 1, "1", "-2", 2.0 and True and a key
+    # an int past float range ended in OverflowError; NaN, inf, True, "2.0", the keys 1, "1", "-2", 2.0 and True and a key
     # given twice were accepted (converted, or kept and ignored); "x" and a
     # list ended in a ValueError or AttributeError
     @pytest.mark.parametrize("moments, message", [
         ({2: math.nan}, "moment g(2) must be a positive finite number, got nan"),
         ({2: 2.0, 3: math.inf}, "moment g(3) must be a positive finite number, got inf"),
+        ({2: 10 ** 400},
+         "moment g(2) must be a positive finite number, got an integer beyond float range"),
         ({2: True}, "moment g(2) must be a positive finite number, got True"),
         ({"2": "2.0"}, "moment g(2) must be a positive finite number, got '2.0'"),
         ({2: 0.0}, "moment g(2) must be a positive finite number, got 0.0"),
@@ -120,7 +122,7 @@ class TestValidation:
         ([2.0, 6.0], "'moments' must be a table of order: g(order), got [2.0, 6.0]"),
         ({3: 9.0}, "model does not provide the normalized moment of order 2"),
         ({2: 2.0, 4: 20.0}, "model does not provide the normalized moment of order 3"),
-    ], ids=["nan", "inf", "bool", "str", "zero", "key-1", "key-str-1", "key-x",
+    ], ids=["nan", "inf", "int-beyond-float", "bool", "str", "zero", "key-1", "key-str-1", "key-x",
             "key-minus-2", "key-float", "key-bool", "key-twice", "list", "no-g2", "no-g3"])
     def test_malformed_table_rejected(self, moments, message):
         with pytest.raises(IcfSimError, match=re.escape(message)):
@@ -132,9 +134,11 @@ class TestValidation:
         assert model.moments == {2: 2.5, 3: 6.5, 4: 17.0}
         assert all(type(k) is int and type(v) is float for k, v in model.moments.items())
 
+    # 1e-200 was accepted, and its envelope divided 0 by 2 w^2 == 0 at delta = 0
     def test_nonpositive_coherence_width(self):
-        with pytest.raises(NonpositiveWidth):
-            SourceModel.coherent(coherence_width=0.0)
+        for width in (0.0, -1.0, math.nan, 1e-200):
+            with pytest.raises(NonpositiveWidth, match="must be positive with 2 w"):
+                SourceModel.coherent(coherence_width=width)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
