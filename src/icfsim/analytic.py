@@ -1,9 +1,18 @@
 """Closed-form normalized intensity correlation functions, orders 2 to 4.
 
-For two statistically identical sources with an independently fluctuating
-relative phase, the normalized n-detector correlation depends only on the
-per-detector phase offsets delta_j (the difference of the two source-to-
-detector path phases) through phi_ij = delta_i - delta_j:
+Two statistically identical sources with an independently fluctuating
+relative phase theta give detector j the intensity I_j = Ia + Ib + Re(z_j u),
+with z_j = env_j exp(i delta_j), u = 2 sqrt(Ia Ib) exp(i theta) and delta_j
+the difference of the two source-to-detector path phases.  Averaged over
+theta, the product of n such terms keeps only the sign rows with q plus and
+q minus detectors, so
+
+    2^n g_n = w_0 + 2 sum_q w_q sum_rows env_row cos(delta_plus - delta_minus),
+
+one row of each conjugate pair, env_row the product of its detectors' env_j
+and w_q = <(Ia + Ib)^(n-2q) (Ia Ib)^q> = sum_a C(n-2q, a) g(a+q) g(n-q-a),
+where g(k) is the k-th normalized moment of each source (g(0) = g(1) = 1).
+With phi_ij = delta_i - delta_j and env_j = 1 this gives the paper's forms:
 
     g2 = (g(2) + 1)/2 + cos(phi_12)/2
 
@@ -15,11 +24,9 @@ detector path phases) through phi_ij = delta_i - delta_j:
          + g(2)^2/8 [cos(phi_12 + phi_13 - phi_14)
             + cos(phi_12 + phi_14 - phi_13) + cos(phi_13 + phi_14 - phi_12)]
 
-where g(k) is the k-th normalized moment of each source.  A finite
-coherence width attenuates each interference cosine by the envelope
-factors of the detectors it involves (which breaks gauge invariance and
-2*pi periodicity on purpose: the envelope is pinned to delta = 0).
-``closed_form`` is the one evaluator of these forms, vectorized over any
+A finite coherence width sets env_j below 1, which breaks gauge invariance
+and 2*pi periodicity on purpose (the envelope is pinned to delta = 0).
+``closed_form`` is the one evaluator of this rule, vectorized over any
 leading axes; the point functions, scans and the extremum search call it.
 
 Scan schemes map a single coordinate x to a detector phase tuple:
@@ -29,15 +36,16 @@ Scan schemes map a single coordinate x to a detector phase tuple:
     four_point_double_speed  n=4: (x, 0, -x, -2x)
     custom                   explicit per-point tuples
 
-Visibility is (max - min)/(max + min) over the scanned values.  The
-classical visibility limits are 1/2, 9/11, 17/18 (coherent, orders 2/3/4)
-and 1/3, 3/5, 7/9 (thermal).
+Visibility is (max - min)/(max + min) over the scanned values;
+``CLASSICAL_LIMITS`` holds its classical bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -209,38 +217,20 @@ class InterferencePattern:
                                 2.0 * vmax * self.stderrs[i_min] / s))
 
 
-# Internal evaluators: written in terms of raw moments and deltas so they
-# vectorize over grids and stay analytic in x (complex-step differentiable).
-
-def _g2_value(g2, d1, d2, e1, e2):
-    return 0.5 * (g2 + 1.0) + 0.5 * e1 * e2 * np.cos(d1 - d2)
-
-
-def _g3_value(g2, g3, d1, d2, d3, e1, e2, e3):
-    bracket = (1.5
-               + e1 * e2 * np.cos(d1 - d2)
-               + e2 * e3 * np.cos(d2 - d3)
-               + e1 * e3 * np.cos(d1 - d3))
-    return 0.25 * g3 + 0.5 * g2 * bracket
-
-
-def _g4_value(g2, g3, g4, d1, d2, d3, d4, e1, e2, e3, e4):
-    p12 = d1 - d2
-    p13 = d1 - d3
-    p14 = d1 - d4
-    pair = (e1 * e2 * np.cos(p12)
-            + e1 * e3 * np.cos(p13)
-            + e1 * e4 * np.cos(p14)
-            + e2 * e3 * np.cos(p12 - p13)
-            + e2 * e4 * np.cos(p12 - p14)
-            + e3 * e4 * np.cos(p13 - p14))
-    eall = e1 * e2 * e3 * e4
-    triple = eall * (np.cos(p12 + p13 - p14)
-                     + np.cos(p12 + p14 - p13)
-                     + np.cos(p13 + p14 - p12))
-    g2sq = g2 * g2
-    return (0.125 * g4 + 0.5 * g3 + 0.375 * g2sq
-            + 0.25 * (g3 + g2sq) * pair + 0.125 * g2sq * triple)
+@lru_cache(maxsize=None)
+def _sign_rows(n: int):
+    """Order n's sign rows (one of each conjugate pair) as ``(steps, combos,
+    active, qs)``: ``combos @ (steps @ delta.T)`` adds each row's q
+    differences delta_plus - delta_minus, at most two nonzero terms a
+    product (q <= 2), so no bit depends on the batch size; ``active`` marks
+    each row's detectors, and ``qs`` holds each row's q."""
+    rows = [r for r in itertools.product((0, 1, -1), repeat=n)
+            if any(r) and sum(r) == 0 and r > tuple(-s for s in r)]
+    pairs = list(itertools.permutations(range(n), 2))
+    links = [set(zip(*([j for j, s in enumerate(r) if s == t] for t in (1, -1)))) for r in rows]
+    steps = np.array([[(j == a) - (j == b) for j in range(n)] for a, b in pairs], dtype=float)
+    combos = np.array([[p in link for p in pairs] for link in links], dtype=float)
+    return steps, combos, np.array(rows) != 0, np.array([r.count(1) for r in rows])
 
 
 def closed_form(moments, delta, env=None):
@@ -257,17 +247,23 @@ def closed_form(moments, delta, env=None):
     n = delta.shape[-1]
     if n not in ORDERS:
         raise UnsupportedOrder(n)
-    d = np.moveaxis(delta, -1, 0)
-    e = (1.0,) * n if env is None else np.moveaxis(np.asarray(env), -1, 0)
-    value = (_g2_value, _g3_value, _g4_value)[n - 2]
-    return value(*tuple(moments)[:n - 1], *d, *e)
+    steps, combos, active, qs = _sign_rows(n)
+    g = (1.0, 1.0, *tuple(moments)[:n - 1])
+    w = [sum(math.comb(n - 2 * q, a) * g[a + q] * g[n - q - a] for a in range(n - 2 * q + 1))
+         for q in range(n // 2 + 1)]
+    c = np.cos(combos @ (steps @ delta.reshape(-1, n).T))  # (rows, points)
+    for j, e in enumerate(() if env is None else np.asarray(env).reshape(-1, n).T):
+        c = c * np.where(active[:, j, None], e, 1.0)  # the rows' envelope factors
+    sums = (c[qs == q].sum(axis=0).reshape(delta.shape[:-1]) for q in range(1, len(w)))
+    return sum((2.0 * w[q] * cq for q, cq in enumerate(sums, 1)), w[0]) * 2.0 ** -n
 
 
 def _at(model: SourceModel, delta):
     """The closed form for ``model`` at detector phases ``delta`` (..., n)."""
     delta = np.asarray(delta)
     moments = [moment(model, k) for k in range(2, delta.shape[-1] + 1)]
-    return closed_form(moments, delta, coherence_envelope(model, delta))
+    env = None if model.coherence_width is None else coherence_envelope(model, delta)
+    return closed_form(moments, delta, env)
 
 
 def _stack(cols):
@@ -276,11 +272,8 @@ def _stack(cols):
 
 
 def g2_point(model: SourceModel, phi12) -> float:
-    """Second-order correlation at pairwise phase phi_12.
-
-    With a coherence envelope, the detectors are taken at offsets
-    (phi_12, 0), the gauge in which the envelope is centered.
-    """
+    """Second-order correlation at pairwise phase phi_12, with the detectors
+    at (phi_12, 0), the gauge in which a coherence envelope is centered."""
     return _at(model, _stack((phi12, phi12 * 0.0)))
 
 
@@ -300,8 +293,7 @@ def g4_point(model: SourceModel, cfg: PhaseConfig) -> float:
 
 def scan(model: SourceModel, pattern: ScanPattern) -> InterferencePattern:
     """Evaluate the closed form along a scan trajectory."""
-    values = _at(model, pattern.delta_array())
-    return InterferencePattern(xs=pattern.grid, values=np.asarray(values, dtype=float))
+    return InterferencePattern(xs=pattern.grid, values=_at(model, pattern.delta_array()))
 
 
 def classical_limit(order: int, kind: str) -> float:
@@ -319,13 +311,11 @@ _CSTEP = 1e-30
 
 
 def _refine_stationary(f: Callable, x0: float, step: float) -> float:
-    """Polish a grid extremum with Newton iterations on f'.
-
-    The first derivative comes from a complex step (exact to machine
-    precision for these analytic curves); the second from a central
-    difference of complex steps.  Stops once |f'| < 1e-12 or the update
-    stalls; stays within one grid step of the starting point.
-    """
+    """Polish a grid extremum with Newton iterations on f', the first
+    derivative from a complex step (exact to machine precision for these
+    analytic curves), the second from a central difference of complex steps.
+    Stops once |f'| < 1e-12 or the update stalls; each update moves at most
+    one grid step, and x falls back to x0 once it strays two steps from it."""
     x = x0
     dd = 1e-6
     for _ in range(80):
@@ -350,8 +340,9 @@ def extremal_phases(model: SourceModel, order: int, scheme: str,
     """Locate the scan-curve extrema and the resulting visibility.
 
     Dense grid search (step <= 1e-3 rad) over [0, 2 pi] followed by local
-    Newton refinement of both extrema to |g'| < 1e-10.  Returns
-    (x_max, x_min, visibility).
+    Newton refinement of both extrema to |g'| < 1e-10.  Of extrema tied to
+    1e-12 of the curve's scale, refinement starts from the first, so the
+    choice does not hang on rounding.  Returns (x_max, x_min, visibility).
     """
     if order not in (3, 4):
         raise UnsupportedOrder(order)
@@ -363,8 +354,9 @@ def extremal_phases(model: SourceModel, order: int, scheme: str,
     npts = int(math.ceil(2.0 * math.pi / _GRID_STEP)) + 1
     xs = np.linspace(0.0, 2.0 * math.pi, npts)
     ys = np.asarray(f(xs), dtype=float)
-    x_max = _refine_stationary(f, float(xs[np.argmax(ys)]), _GRID_STEP)
-    x_min = _refine_stationary(f, float(xs[np.argmin(ys)]), _GRID_STEP)
+    tie = 1e-12 * np.max(np.abs(ys))
+    x_max, x_min = (_refine_stationary(f, float(xs[np.argmax(near)]), _GRID_STEP)
+                    for near in (ys >= ys.max() - tie, ys <= ys.min() + tie))
     v_max = float(np.real(f(x_max)))
     v_min = float(np.real(f(x_min)))
     return x_max, x_min, (v_max - v_min) / (v_max + v_min)

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    CLASSICAL_LIMITS,
     InterferencePattern,
     ScanPattern,
-    classical_limit,
     scan,
 )
 from .constants import DEFAULT_SEED, ORDERS
@@ -326,9 +326,9 @@ def _limit_lines(vis: float, order: int, kind: str, err: float | None = None) ->
     ``err``, the visibility carries it and INFO means z = (vis - limit) / err > 3."""
     lines = [f"visibility = {vis:.9f}" if err is None
              else f"visibility = {vis:.6f} +/- {err:.6f}"]
-    if kind not in ("coherent", "thermal"):
+    limit = CLASSICAL_LIMITS.get((kind, order))
+    if limit is None:
         return lines
-    limit = classical_limit(order, kind)
     lines.append(f"classical limit ({kind}, order {order}) = {limit:.9f}")
     if err is None:
         exceeds, note = vis > limit + 1e-9, ""
@@ -354,9 +354,8 @@ def _report_scan(opts: dict, target: tuple[Path, str], pattern: InterferencePatt
         print(line)
     print(f"wrote {_write_pattern(pattern, *target)}")
     if opts.get("plot"):
-        floor, label = None, ""
-        if kind in ("coherent", "thermal"):
-            v = classical_limit(order, kind)
+        floor, label, v = None, "", CLASSICAL_LIMITS.get((kind, order))
+        if v is not None:
             floor = float(np.max(pattern.values)) * (1.0 - v) / (1.0 + v)
             label = f"classical-limit floor (V = {v:.4f})"
         title = (f"scan (V = {pattern.visibility:.4f})" if err is None else
@@ -397,8 +396,7 @@ def cmd_limits(opts: dict) -> int:
     if opts["format"] and not opts["out"]:
         raise IcfSimError(f"--format {opts['format']} needs --out: the table is printed as text")
     target = _output_path(opts["out"], opts["format"]) if opts["out"] else None
-    rows = [(order, kind, classical_limit(order, kind))
-            for kind in ("coherent", "thermal") for order in ORDERS]
+    rows = [(order, kind, value) for (kind, order), value in CLASSICAL_LIMITS.items()]
     print(f"{'order':>5}  {'kind':<8}  {'limit':>10}  {'percent':>8}")
     for order, kind, value in rows:
         print(f"{order:>5}  {kind:<8}  {value:>10.8f}  {100 * value:>7.2f}%")

@@ -29,7 +29,7 @@ shot noise, Gaussian read noise, clamping, quantization to the bit depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -334,19 +334,14 @@ def synth_frames(model: SourceModel, optics: FrameOptics | None = None,
 
     counts = run_tasks(render, range(0, n, per_task), workers)
 
-    if modulation is not None:
-        phase_modulation = {"type": "harmonic",
-                            "amplitude": modulation.amplitude,
-                            "frequency": modulation.frequency}
-    else:
-        phase_modulation = {"type": "uniform"}
     metadata = {
         "kind": model.kind,
         "envelope_fwhm_px": optics.envelope_fwhm_px,
         "peak_level": peak_level,
-        "noise": {"gaussian_sigma": sigma, "poisson": optics.noise.poisson},
+        "noise": asdict(optics.noise),
         "bit_depth": optics.bit_depth,
-        "phase_modulation": phase_modulation,
+        "phase_modulation": ({"type": "uniform"} if modulation is None
+                             else {"type": "harmonic", **asdict(modulation)}),
         "saturated_pixels": sum(p for p, _ in counts),
         "saturated_frames": sum(f for _, f in counts),
     }

@@ -74,8 +74,11 @@ class SourceModel:
             table[order] = float(v)
         object.__setattr__(self, "moments", table)
         w = self.coherence_width  # 2 w^2, the envelope's divisor, must not underflow to 0
-        if w is not None and not (w > 0 and 2.0 * w * w > 0):
-            raise NonpositiveWidth(f"coherence_width must be positive with 2 w^2 > 0, got {w!r}")
+        big = isinstance(w, int) and abs(w) > sys.float_info.max  # 2.0 * w would overflow
+        if w is not None and (big or not (w > 0 and 2.0 * w * w > 0)):
+            shown = "an integer beyond float range" if big else repr(w)
+            raise NonpositiveWidth(f"coherence_width must be positive with 2 w^2 > 0, "
+                                   f"got {shown}")
         g2, g3, g4 = (table.get(k) for k in (2, 3, 4))
         if g2 is not None and g2 < 1.0:
             raise MomentInequalityViolated(2, g2, 1.0)

@@ -250,6 +250,20 @@ class TestExtremalPhases:
         assert x_min == pytest.approx(2 * math.pi / 3, abs=1e-8)
         assert vis == pytest.approx(9 / 11, abs=1e-10)
 
+    def test_first_of_tied_minima(self, monkeypatch):
+        # lower the curve beyond pi by 1e-14 relative: the minimum at 4 pi/3
+        # then wins argmin, but the two still tie to the search's 1e-12
+        import icfsim.analytic as analytic
+        at = analytic._at
+
+        def tilted(model, delta):
+            return at(model, delta) * np.where(np.real(delta[..., 0]) > math.pi,
+                                               1.0 - 1e-14, 1.0)
+
+        monkeypatch.setattr(analytic, "_at", tilted)
+        _, x_min, _ = extremal_phases(COHERENT, 3, "symmetric_opposite")
+        assert x_min == pytest.approx(2 * math.pi / 3, abs=1e-8)
+
     def test_coherent_order4_minimum(self):
         _, x_min, vis = extremal_phases(COHERENT, 4, "four_point_double_speed")
         assert x_min == pytest.approx(math.pi / 2, abs=1e-8)
@@ -456,6 +470,23 @@ class TestClosedForm:
         expected = self.evaluate(model, pattern.delta_array())
         got = scan(model, pattern).values
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_batch_bits_equal_single_points(self, order):
+        # verify compares a batched closed form with one trial at a time, so
+        # a point's bits must not depend on the batch size, which picks BLAS's
+        # matrix-vector or matrix kernels
+        from icfsim.analytic import closed_form
+        rng = np.random.default_rng(50 + order)
+        for size in (1, 3, 7, 8, 1000):
+            moments = tuple(rng.uniform(1.0, 30.0, (3, size)))
+            delta = rng.uniform(-10, 10, (size, order))
+            for env in (None, rng.uniform(0.0, 1.0, (size, order))):
+                batch = closed_form(moments, delta, env)
+                for i in range(size):
+                    single = closed_form([m[i] for m in moments], delta[i],
+                                         None if env is None else env[i])
+                    assert single == batch[i]
 
     def test_complex_phases_pass_through(self):
         from icfsim.analytic import closed_form

@@ -72,6 +72,10 @@ CASES = {
         ["synth", *_SMALL_STACK, "--bit-depth", "0", "--format", "csv", "--no-poisson",
          "--noise-sigma", "0", "--peak-level", "1e103", "--out", "big"],
         ["process", "big"]]),
+    "process-ref-col-g4-skipped": ({}, [["synth", *_SMALL_STACK],
+                                        ["process", "stack", "--ref-col", "10"]]),
+    "process-batches-without-stderrs": ({}, [["synth", *_SMALL_STACK],
+                                             ["process", "stack", "--batches", "20"]]),
     # exit 1: data errors
     "analytic-custom-without-moments": ({}, [["analytic", "--kind", "custom"]]),
     "analytic-scheme-order-mismatch": ({}, [["analytic", "--order", "4",

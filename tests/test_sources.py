@@ -140,6 +140,12 @@ class TestValidation:
             with pytest.raises(NonpositiveWidth, match="must be positive with 2 w"):
                 SourceModel.coherent(coherence_width=width)
 
+    # an int past float range ended in OverflowError from 2.0 * w * w
+    @pytest.mark.parametrize("width", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+    def test_width_beyond_float_range(self, width):
+        with pytest.raises(NonpositiveWidth, match="got an integer beyond float range$"):
+            SourceModel.thermal(coherence_width=width)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SourceModel("chaotic")
