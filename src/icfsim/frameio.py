@@ -238,7 +238,7 @@ class FrameReader:
                                     f"{self.shape[1]} px wide are too narrow to estimate "
                                     "one; pass --period-px") from None
         self.fringe_period_px = float(period)
-        check_period(self.fringe_period_px)
+        check_period(self.fringe_period_px, width=self.shape[1])
 
     @property
     def n_frames(self) -> int:

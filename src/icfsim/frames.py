@@ -119,11 +119,15 @@ def pixel_format(bit_depth: int | None) -> tuple[type, int | None]:
     return (np.uint16 if bit_depth <= 16 else np.uint32), 2 ** int(bit_depth) - 1
 
 
-def check_period(period_px: float, minimum: float = 0.0) -> None:
-    """Raise BadOptics unless ``period_px`` is finite, positive and >= ``minimum``."""
+def check_period(period_px: float, minimum: float = 0.0, width: int = 1) -> None:
+    """Raise BadOptics unless ``period_px`` is finite, positive and >= ``minimum``,
+    and the fringe phase 2 pi width/period_px across ``width`` columns is finite."""
     if not (0 < period_px < math.inf and period_px >= minimum):
         floor = f", at least {minimum:g} px (Nyquist margin)" if minimum else ""
         raise BadOptics(f"fringe_period_px must be positive and finite{floor}, got {period_px!r}")
+    if 2.0 * math.pi * width / period_px == math.inf:
+        raise BadOptics(f"fringe_period_px {period_px!r} is too small: the fringe phase "
+                        f"across {width} px overflows float range")
 
 
 def check_pixels(frames: np.ndarray, bit_depth: int | None) -> None:
@@ -163,7 +167,7 @@ class FrameStack:
         frames = np.asarray(self.frames)
         if frames.ndim != 3 or frames.shape[0] < 1:
             raise ValueError(f"frames must be a (n, height, width) array, got shape {frames.shape}")
-        check_period(self.fringe_period_px)
+        check_period(self.fringe_period_px, width=frames.shape[2])
         check_pixels(frames, self.metadata.get("bit_depth"))
         object.__setattr__(self, "frames", frames)
 
@@ -441,7 +445,12 @@ def _scheme_profile(series: ProcessedSeries, order: int, scheme: str,
 
     factors = profiles[:, column_sets]  # (n_frames, n_points, n_args)
     factors *= 2.0 ** -math.frexp(peak)[1]  # a power of two: products in range, same ratios
-    values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
+    try:  # the pooled mean is checked above, a batch of frames only here
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            values, stderrs = ratio_of_means(factors.prod(axis=-1), factors, 1, n_batches)
+    except FloatingPointError:
+        raise DivisionByZeroMean("the mean profile of a batch of frames vanishes at a column "
+                                 "used by the correlation arguments") from None
     return InterferencePattern(xs=xs_px * series.pixel_to_phase,
                                values=values, stderrs=stderrs)
 

@@ -21,9 +21,9 @@ inline) and merges them in order: results do not depend on workers.
 Batches of fewer than ``2 * _TASK_SAMPLES`` samples run inline, as their
 numpy calls are too short to overlap on two threads.  Each thread reuses
 its work buffers from task to task within a call, so batches do not fault
-in fresh memory; the buffers go when the call returns.  The scratch of the
-trig kernel ``sources.cos_sin`` is carved from buffers that are idle while
-it runs, so it adds next to no memory.
+in fresh memory; the buffers go when the call returns.  A sample's cos and
+sin of the relative phase come from one tangent of the half angle, in
+``sources.field_terms``, in place in those buffers.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .sources import (
     rng_from_seed,
     sample_batch,
     spawn_seeds,
-    trig_scratch,
 )
 
 # Samples per pool task: large enough that numpy's per-call overhead is
@@ -64,25 +63,20 @@ class IcfEstimate:
     n_batches: int
 
 
-def _workspace(work, count: int, shape: tuple) -> tuple[list, list]:
-    """``count`` arrays of ``shape``, and ``cos_sin`` scratch for one of
-    them: views of all but the first four (which hold the draws and the
-    amplitude, live during the trig step), and new arrays for what does not
-    fit there.  Both are kept in ``work`` (a ``threading.local``, or None)
-    for the calling thread's next task and made anew for another shape.
-    Separate arrays, not one block, so that a scan's small arrays come from
-    memory the allocator already holds.
+def _workspace(work, count: int, shape: tuple) -> list:
+    """``count`` arrays of ``shape``, kept in ``work`` (a ``threading.local``,
+    or None) for the calling thread's next task and made anew for another
+    shape.  Separate arrays, not one block, so that a scan's small arrays
+    come from memory the allocator already holds.
     """
     if work is None:
-        arrays = [np.empty(shape) for _ in range(count)]
-        return arrays, trig_scratch(arrays[0].size, arrays[4:])
-    key, arrays, scratch = getattr(work, "arrays", (None, None, None))
+        return [np.empty(shape) for _ in range(count)]
+    key, arrays = getattr(work, "arrays", (None, None))
     if key != (count, shape):
         work.arrays = None  # the old arrays are freed before new ones are made
         arrays = [np.empty(shape) for _ in range(count)]
-        scratch = trig_scratch(arrays[0].size, arrays[4:])
-        work.arrays = ((count, shape), arrays, scratch)
-    return arrays, scratch
+        work.arrays = ((count, shape), arrays)
+    return arrays
 
 
 def _draw(model: SourceModel, seeds: np.ndarray, ia, ib, theta):
@@ -106,7 +100,7 @@ def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray
     which are left unchanged.
     """
     ia, ib, theta = (np.array(x, dtype=float) for x in (ia, ib, theta))
-    base, c, s = field_terms(ia, ib, theta, np.empty_like(ia), trig_scratch(ia.size))
+    base, c, s = field_terms(ia, ib, theta, np.empty_like(ia))
     kc, ks = _detector_factors(model, np.asarray(delta, dtype=float))
     return base + np.multiply.outer(kc, c) - np.multiply.outer(ks, s)
 
@@ -118,16 +112,16 @@ def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: i
     k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
     batch's own row, so it does not depend on the run of batches.
     """
-    (ia, ib, theta, amp, row, prod), scratch = _workspace(work, 6, (len(seeds), size))
+    ia, ib, theta, amp, row, prod = _workspace(work, 6, (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, amp, scratch)
+    base, c, s = field_terms(ia, ib, theta, amp)
     sums = np.empty((len(seeds), len(delta)))
     for j, (kc, ks) in enumerate(zip(*_detector_factors(model, delta))):
         np.multiply(c, kc, out=row)
         row += base
         row -= np.multiply(s, ks, out=amp)
         sums[:, j] = row.sum(axis=-1)
-        np.multiply(prod if j else 1.0, row, out=prod)  # prod held trig scratch until now
+        np.multiply(prod if j else 1.0, row, out=prod)
     if not len(delta):
         prod.fill(1.0)
     return prod.sum(axis=-1), sums
@@ -146,10 +140,10 @@ def _power_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int,
     base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
     ``field_terms``, shape (batches, monomials), and of base, c and s.
     """
-    (ia, ib, theta, term, c_pow, cs_pow, *higher), scratch = _workspace(
-        work, order + 5, (len(seeds), size))
+    ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
+                                                             (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, term, scratch)
+    base, c, s = field_terms(ia, ib, theta, term)
     base_pow = [None, base]  # None: base^0
     for p in higher:
         base_pow.append(np.multiply(base_pow[-1], base, out=p))

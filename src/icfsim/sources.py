@@ -232,113 +232,21 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=No
     return ia, ib, theta
 
 
-# cos_sin reduces theta to x = theta - k 2 pi/_NODES, |x| <= pi/_NODES, at
-# the nearest table node k (Cody-Waite: k * _STEP_HI is exact for
-# |k| < 2**29, and _STEP_LO carries the rest of 2 pi/_NODES, pi's own
-# rounding included).  It works in chunks, on TRIG_SCRATCH scratch arrays
-# of one chunk each that the caller owns.  Chunks of up to TRIG_CHUNK
-# samples make each of its ~30 numpy calls long enough that two threads
-# running the kernel overlap rather than wait on the interpreter lock.
-TRIG_CHUNK = 20_000
-TRIG_SCRATCH = 5
-_NODES = 256
-_PI_LO = 1.2246467991473532e-16  # pi - np.pi
-_STEP_HI = float(np.float32(2.0 * np.pi / _NODES))
-_STEP_LO = (2.0 * np.pi / _NODES - _STEP_HI) + 2.0 * _PI_LO / _NODES
-_SHIFT = 1.5 * 2.0 ** 52  # y + _SHIFT keeps rint(y) in its low mantissa bits
-# the kernel's constants as 0-d arrays, which numpy does not convert per call
-_K = {name: np.array(value) for name, value in dict(
-    to_node=_NODES / (2.0 * np.pi), shift=_SHIFT, step_hi=_STEP_HI, step_lo=_STEP_LO,
-    sin5=1.0 / 120.0, sin3=1.0 / 6.0, cos6=-1.0 / 720.0, cos4=1.0 / 24.0, cos2=0.5,
-    mask=np.int64(_NODES - 1)).items()}
-
-
-def _node_tables():
-    """cos and sin at the nodes k 2 pi/_NODES as (cos_hi, cos_lo, sin_hi,
-    sin_lo): each value is hi + lo, to long-double precision where the
-    platform has one.  The first octant is computed and mirrored, so the
-    quadrant nodes are exact.
-    """
-    ld = np.longdouble
-    a = np.arange(_NODES // 8 + 1, dtype=ld) * ((ld(np.pi) + ld(_PI_LO)) / (_NODES // 2))
-    quarter = np.concatenate([np.cos(a), np.sin(a[-2::-1])])  # cos, node 0 to _NODES/4
-    c, s = quarter[:-1], quarter[:0:-1]
-    tables = []
-    for t in (np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])):
-        hi = t.astype(float)
-        tables += [hi, (t - hi).astype(float)]
-    return tables
-
-
-_COS_HI, _COS_LO, _SIN_HI, _SIN_LO = _node_tables()
-
-
-def trig_scratch(size: int, spare=()) -> list[np.ndarray]:
-    """``cos_sin`` scratch for arrays of ``size`` elements: TRIG_SCRATCH
-    arrays of min(size, TRIG_CHUNK) elements (at least one), as many as fit
-    carved as views from the C-contiguous float arrays ``spare``, the rest
-    new.  The caller keeps ``spare`` unused while ``cos_sin`` runs.
-    """
-    chunk = max(1, min(size, TRIG_CHUNK))
-    views = [a.reshape(-1)[i:i + chunk] for a in spare
-             for i in range(0, a.size - chunk + 1, chunk)][:TRIG_SCRATCH]
-    return views + [np.empty(chunk) for _ in range(TRIG_SCRATCH - len(views))]
-
-
-def cos_sin(theta, cos, sin, scratch):
-    """Write cos(theta) into ``cos`` and sin(theta) into ``sin``.
-
-    The arrays are C-contiguous and of one shape; ``sin`` may be ``theta``
-    itself.  ``scratch`` is TRIG_SCRATCH 1-D float arrays of one length,
-    the chunk (``trig_scratch`` makes them); they are overwritten, and the
-    kernel allocates nothing.  With C and S the cos and sin at the node and
-    x as above, cos theta = C + (C (cos x - 1) - S sin x) and sin theta =
-    S + (S (cos x - 1) + C sin x), with Taylor polynomials to x^6 and x^5.
-    For |theta| <= 1e4 the error against numpy's cos and sin is at most
-    2**-52 (it is tested there; the reduction stays exact to |theta| of
-    about 1e7), and a value depends neither on the array it sits in nor on
-    the chunk.  The numpy calls take positional ``out`` arrays and 0-d
-    constants, which shortens the interpreter-lock time between them that
-    threads running this kernel share.
-    """
-    mul, add, sub, K = np.multiply, np.add, np.subtract, _K
-    chunk = len(scratch[0])
-    flat = [a.reshape(-1) for a in (theta, cos, sin)]
-    for start in range(0, theta.size, chunk):
-        t, co, si = (a[start:start + chunk] for a in flat)
-        k, x, x2, c, s = scratch if len(t) == chunk else [a[:len(t)] for a in scratch]
-        add(mul(t, K["to_node"], k), K["shift"], k)
-        node = np.bitwise_and(k.view(np.int64), K["mask"], x2.view(np.int64))
-        _COS_LO.take(node, out=co, mode="clip")
-        _COS_HI.take(node, out=c, mode="clip")
-        _SIN_HI.take(node, out=s, mode="clip")
-        sub(k, K["shift"], k)
-        sub(t, mul(k, K["step_hi"], x), x)
-        sub(x, mul(k, K["step_lo"], k), x)
-        _SIN_LO.take(node, out=si, mode="clip")  # t is not read again
-        mul(x, x, x2)
-        # k = sin x = x + (x2 (x2/120 - 1/6)) x
-        add(mul(mul(sub(mul(x2, K["sin5"], k), K["sin3"], k), x2, k), x, k), x, k)
-        # x = cos x - 1 = ((1/24 - x2/720) x2 - 1/2) x2
-        mul(sub(mul(add(mul(x2, K["cos6"], x), K["cos4"], x), x2, x), K["cos2"], x), x2, x)
-        add(co, mul(c, x, x2), co)
-        sub(co, mul(s, k, x2), co)
-        add(co, c, co)
-        add(si, mul(s, x, x2), si)
-        add(si, mul(c, k, x2), si)
-        add(si, s, si)
-    return cos, sin
-
-
-def field_terms(ia, ib, theta, amp, scratch):
-    """base = Ia + Ib, c = 2 sqrt(Ia Ib) cos(theta) and s = 2 sqrt(Ia Ib)
-    sin(theta), written over ``ia``, ``ib`` and ``theta`` and returned in
-    that order; ``amp`` is left holding 2 sqrt(Ia Ib).  cos and sin come
-    from ``cos_sin`` (within 2**-52 of numpy's for |theta| <= 1e4), which
-    overwrites the arrays ``scratch`` and nothing else.
+def field_terms(ia, ib, theta, amp):
+    """base = Ia + Ib, c = A cos(theta) and s = A sin(theta), A = 2 sqrt(Ia Ib),
+    written over ``ia``, ``ib`` and ``theta`` and returned in that order
+    (``amp`` is overwritten), with no new array.  With t = tan(theta/2) and
+    q = 1 + t^2, c = A (1 - t^2)/q and s = 2 A t/q, one division each: at
+    A = 1 within 2**-52 of numpy's cos and sin for |theta| <= 1e4, and
+    exactly (A, 0) at theta = 0.
     """
     np.sqrt(np.multiply(ia, ib, out=amp), out=amp)
     amp *= 2.0
     np.add(ia, ib, out=ia)
-    cos_sin(theta, ib, theta, scratch)
-    return ia, np.multiply(ib, amp, out=ib), np.multiply(theta, amp, out=theta)
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+    np.subtract(1.0, np.multiply(t, t, out=ib), out=ib)
+    ib *= amp  # A (1 - t^2)
+    np.multiply(amp, t, out=amp)
+    amp *= 2.0  # A 2t
+    np.add(np.multiply(t, t, out=theta), 1.0, out=theta)  # q
+    return ia, np.divide(ib, theta, out=ib), np.divide(amp, theta, out=theta)

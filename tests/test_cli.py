@@ -464,21 +464,34 @@ class TestFramesCli:
         assert not stack_dir.exists()
 
     def test_process_non_finite_period_exit_1(self, tmp_path, capsys):
-        # both printed a mean-intensity fringe visibility of 2.0000
+        # inf printed a mean-intensity fringe visibility of 2.0000, and 1e-320,
+        # whose phase step 2 pi/period is inf, ended in a ValueError traceback
         stack_dir = tmp_path / "stack"
         run(capsys, "synth", "--frames", "2", "--frame-height", "2", "--out", str(stack_dir))
-        code, text, err = run(capsys, "process", str(stack_dir), "--period-px", "inf",
-                              "--out", str(tmp_path / "run"))
-        assert (code, text) == (1, "")
-        assert err == "error: fringe_period_px must be positive and finite, got inf\n"
         manifest = stack_dir / "manifest.json"
         data = json.loads(manifest.read_text())
-        data["fringe_period_px"] = math.inf
-        manifest.write_text(json.dumps(data))
-        code, text, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
-        assert (code, text) == (1, "")
-        assert err == "error: fringe_period_px must be positive and finite, got inf\n"
+        for period, message in (
+                (math.inf, "fringe_period_px must be positive and finite, got inf"),
+                (1e-320, "fringe_period_px 1e-320 is too small: the fringe phase across "
+                         "600 px overflows float range")):
+            code, text, err = run(capsys, "process", str(stack_dir), "--period-px",
+                                  str(period), "--out", str(tmp_path / "run"))
+            assert (code, text, err) == (1, "", f"error: {message}\n")
+            manifest.write_text(json.dumps({**data, "fringe_period_px": period}))
+            code, text, err = run(capsys, "process", str(stack_dir),
+                                  "--out", str(tmp_path / "run"))
+            assert (code, text, err) == (1, "", f"error: {message}\n")
         assert not list(tmp_path.glob("run*"))
+
+    def test_process_dark_frame_batch_exit_1(self, tmp_path, capsys):
+        # the pooled mean profile is bright enough, but one batch of frames
+        # sums to 0 at a used column: it ended in a ValueError traceback
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "24", "--frame-width", "96", "--frame-height", "3",
+            "--peak-level", "100", "--out", str(stack_dir))
+        code, _, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
+        assert (code, err) == (1, "error: the mean profile of a batch of frames vanishes at "
+                                  "a column used by the correlation arguments\n")
 
     def test_process_period_too_narrow_to_estimate_exit_1(self, tmp_path, capsys):
         # ended in a ValueError traceback from frames.estimate_fringe_period

@@ -4,9 +4,11 @@ of stdout, of stderr and of every file the step wrote or changed against
 ``cli_corpus.json``.  A refactor that claims byte-identical output shows it
 here; a change that moves a hash says why in CHANGES.md.
 
-The hashes hold for the numpy and Python versions recorded beside them;
-on other versions the test fails and names both.  To record the corpus
-again, run ``PYTHONPATH=src python tests/test_cli_corpus.py``.
+The hashes hold for the numpy and Python versions recorded beside them,
+and for numpy's float64 ``tan`` loop, which numpy picks by CPU and from
+which every Monte Carlo sample takes its cos and sin; where any of them
+differs the test fails and names both records.  To record the corpus again,
+run ``PYTHONPATH=src python tests/test_cli_corpus.py``.
 """
 
 import hashlib
@@ -109,6 +111,8 @@ CASES = {
         ["synth", *_SMALL_STACK, "--bit-depth", "0", "--format", "csv", "--no-poisson",
          "--noise-sigma", "0", "--peak-level", "1e307", "--out", "big"],
         ["process", "big"]]),
+    "process-dark-frame-batch": ({}, [["synth", *_SMALL_STACK, "--peak-level", "100"],
+                                      ["process", "stack"]]),
     # exit 2: usage errors, and help (exit 0)
     "usage-none": ({}, [[]]),
     "usage-unknown-command": ({}, [["bogus"]]),
@@ -124,8 +128,18 @@ CASES = {
 }
 
 
+def tan_loop() -> str | None:
+    """The CPU target of numpy's float64 tan loop, or None before numpy 2."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^tan$", signature="float64")["tan"]["dd"]["current"]
+
+
 def versions() -> dict:
-    return {"numpy": np.__version__, "python": ".".join(platform.python_version_tuple()[:2])}
+    return {"numpy": np.__version__, "python": ".".join(platform.python_version_tuple()[:2]),
+            "float64_tan_loop": tan_loop()}
 
 
 def sha256(data) -> str:

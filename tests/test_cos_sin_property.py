@@ -1,4 +1,4 @@
-"""``sources.cos_sin`` against numpy on hypothesis-drawn phases."""
+"""cos and sin in ``sources.field_terms`` against numpy on hypothesis-drawn phases."""
 
 import numpy as np
 import pytest

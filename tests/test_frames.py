@@ -560,6 +560,12 @@ class TestCorrelationProfiles:
         series = roi_average(stack, RoiSpec(0, 0, 64, 2, 32))
         with pytest.raises(DivisionByZeroMean):
             g3_profile(series)
+        frames[2:, :, 40] = 3.0  # dark in the first of five batches of two frames
+        series = roi_average(FrameStack(frames=frames, fringe_period_px=8.0),
+                             RoiSpec(0, 0, 64, 2, 32))
+        assert g3_profile(series, n_batches=2).stderrs is not None  # batches of five
+        with pytest.raises(DivisionByZeroMean, match="a batch of frames"):
+            g3_profile(series, n_batches=5)
 
     def test_stderrs_present_with_enough_frames(self):
         stack = synth_frames(COHERENT, SMALL_NOISELESS, n=40, seed=17)

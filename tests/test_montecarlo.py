@@ -18,7 +18,7 @@ from icfsim import (
     scan,
 )
 from icfsim.errors import BadBatching, CustomModelNotSamplable
-from icfsim.sources import TRIG_CHUNK, rng_from_seed, sample_batch, spawn_seeds
+from icfsim.sources import rng_from_seed, sample_batch, spawn_seeds
 
 COHERENT = SourceModel.coherent()
 THERMAL = SourceModel.thermal()
@@ -408,44 +408,51 @@ class TestEnvelopeScan:
         assert est.visibility < 0.01
 
 
+# The bits of the Monte Carlo pins below (not of the _LIBM ones) hold for
+# the float64 np.tan loop that numpy picks for this CPU, which
+# numpy.lib.introspect.opt_func_info reports; X86_V4 when they were made.
+# tests/test_cli_corpus.py records that loop beside its hashes.
+
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
 # batch), seed 2718, as float.hex of (values, stderrs); made once the points
-# of a scan shared their draws, and made again once cos and sin came from
-# sources.cos_sin.  TestSharedSamples ties them to estimate_icf, and
-# TestRepin to the values of numpy's cos and sin in PINNED_SCANS_LIBM.
+# of a scan shared their draws, and made again once cos and sin came from one
+# half-angle tangent in sources.field_terms.  TestSharedSamples ties them to
+# estimate_icf, and TestRepin to the values of numpy's cos and sin in
+# PINNED_SCANS_LIBM.
 PINNED_SCANS = {
     ("coherent", 3, "symmetric_opposite"): (
         ["0x1.3fe52bb459a1ap+1", "0x1.000fcde2c4dbcp-2", "0x1.000fcde2c4dbbp-2",
          "0x1.3fe52bb459a1ap+1"],
-        ["0x1.884f68e43997ep-7", "0x1.4f11832b868fdp-11", "0x1.4f11832b868bfp-11",
-         "0x1.884f68e43997ep-7"]),
+        ["0x1.884f68e439978p-7", "0x1.4f11832b868fdp-11", "0x1.4f11832b8689bp-11",
+         "0x1.884f68e439978p-7"]),
     ("thermal", 4, "four_point_double_speed"): (
-        ["0x1.83b4e91b73c3fp+4", "0x1.d6f5da429b2d5p+1", "0x1.da7b4e3e05c1ep+1",
-         "0x1.83b4e91b73c3fp+4"],
-        ["0x1.9c4076c6053f5p-2", "0x1.32f720c6e23f8p-4", "0x1.28f877d3c687dp-4",
-         "0x1.9c4076c6053f5p-2"]),
+        ["0x1.83b4e91b73c41p+4", "0x1.d6f5da429b2d8p+1", "0x1.da7b4e3e05c1ep+1",
+         "0x1.83b4e91b73c41p+4"],
+        ["0x1.9c4076c6053d5p-2", "0x1.32f720c6e23f2p-4", "0x1.28f877d3c687ap-4",
+         "0x1.9c4076c6053d5p-2"]),
     ("thermal", 3, "single_detector"): (
-        ["0x1.024d8de97e9e4p+2", "0x1.a2f199e6f6c4bp+0", "0x1.b096bf2db2097p+1",
+        ["0x1.024d8de97e9e5p+2", "0x1.a2f199e6f6c4bp+0", "0x1.b096bf2db2097p+1",
          "0x1.024d8de97e9e5p+2"],
-        ["0x1.1caaeb9434379p-5", "0x1.248bb6b931bf5p-7", "0x1.35313dd6de079p-5",
-         "0x1.1caaeb9434373p-5"]),
+        ["0x1.1caaeb943436dp-5", "0x1.248bb6b931bd9p-7", "0x1.35313dd6de074p-5",
+         "0x1.1caaeb9434362p-5"]),
 }
 
 # estimate_scan at 4 grid points at the icfsim mc batching, 100 batches of
 # 1000 samples (tasks of 16 batches, the last of 4), seed 2718, as float.hex
 # of (values, stderrs); made while each batch's generator came from
-# SeedSequence.spawn and default_rng.
+# SeedSequence.spawn and default_rng, and made again once cos and sin came
+# from one half-angle tangent.
 PINNED_CLI_SCANS = {
     ("coherent", 3, "symmetric_opposite"): (
         ["0x1.3f9e152a73863p+1", "0x1.ff3ee5e87ba88p-3", "0x1.ff3ee5e87ba85p-3",
          "0x1.3f9e152a73863p+1"],
-        ["0x1.2c49ac1d5d8bfp-7", "0x1.32850256ac01cp-11", "0x1.32850256ac01fp-11",
-         "0x1.2c49ac1d5d8bfp-7"]),
+        ["0x1.2c49ac1d5d8bep-7", "0x1.32850256ac01cp-11", "0x1.32850256ac021p-11",
+         "0x1.2c49ac1d5d8bep-7"]),
     ("thermal", 4, "four_point_double_speed"): (
-        ["0x1.79bd0c7720cd8p+4", "0x1.e0e556b7b4b50p+1", "0x1.e2d3fbb9dec8ep+1",
-         "0x1.79bd0c7720cd8p+4"],
-        ["0x1.ed3118a612ceep-2", "0x1.d0fc3143ac772p-5", "0x1.cc5176c15b082p-5",
-         "0x1.ed3118a612cf0p-2"]),
+        ["0x1.79bd0c7720cd6p+4", "0x1.e0e556b7b4b50p+1", "0x1.e2d3fbb9dec8ep+1",
+         "0x1.79bd0c7720cd6p+4"],
+        ["0x1.ed3118a612cf0p-2", "0x1.d0fc3143ac772p-5", "0x1.cc5176c15b07ep-5",
+         "0x1.ed3118a612cf2p-2"]),
 }
 
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
@@ -472,13 +479,13 @@ PINNED_SCANS_LIBM = {
 
 # estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
 # kernels wrote into reused buffers and made again once cos and sin came
-# from sources.cos_sin; 400 000 samples in 10 batches make one task per
-# batch, 20 000 in 20 batches several batches per task.
+# from one half-angle tangent; 400 000 samples in 10 batches make one task
+# per batch, 20 000 in 20 batches several batches per task.
 PINNED_POINTS = {
-    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a29ap-4"),
-    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15cp-1"),
-    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f21p-8"),
-    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512cp+1", "0x1.e7a81de7dc215p-7"),
+    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a286p-4"),
+    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15bp-1"),
+    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f1cp-8"),
+    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512dp+1", "0x1.e7a81de7dc20ap-7"),
     ("thermal-1", 400_000, 10): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("thermal-1", 20_000, 20): ("0x1.0000000000000p+0", "0x0.0p+0"),
 }
@@ -552,23 +559,22 @@ class TestWorkBuffers:
 
 # The first 16 hex digits of the sha256 of the bytes that _task_sums (at
 # TASK_DELTAS) and _power_sums (orders 3 and 4) return, at the batches of
-# spawn_seeds(29, batches), as (task 4, task 3, power 3, power 4); made while
-# sources.cos_sin allocated its own scratch of 8192 samples on every call.
-# A row of 50 000 samples takes two and a half trig chunks, one of
-# 16 x 1000 is shorter than a chunk and one of 3 x 7001 a chunk and a part.
+# spawn_seeds(29, batches), as (task 4, task 3, power 3, power 4); made once
+# cos and sin came from one half-angle tangent, from new buffers.  Tasks of
+# 1 x 50 000, 16 x 1000 and 3 x 7001 samples.
 PINNED_TASK_SUMS = {
-    ("thermal-width", 1, 50000): ("ccb881b82c19bfdd", "3dadc8e9cf701ef0",
-                                  "736f68c67e108848", "1d39a6af60e8438c"),
-    ("thermal-width", 16, 1000): ("8d0aa49c5bb3dc9d", "965fc7406a56b7a8",
-                                  "db4fd07a9443c771", "4d0151284da28c77"),
-    ("thermal-width", 3, 7001): ("70d2de7d898afccf", "95d327bdb1ee29cd",
-                                 "eaffe5ba37b363f8", "3493ae766b9b06ec"),
+    ("thermal-width", 1, 50000): ("0442e910af306790", "3dadc8e9cf701ef0",
+                                  "861bcf3fdf60278b", "84eee85d4d02bfc8"),
+    ("thermal-width", 16, 1000): ("f29baea2547c08e2", "93824110146b7d3d",
+                                  "45dd3f708041dac0", "9b7d46144d7a8809"),
+    ("thermal-width", 3, 7001): ("c9fece662a45190f", "523d969441853a10",
+                                 "8b9ef3232c880c23", "3ca142dc0220fbfe"),
     ("coherent", 1, 50000): ("4a0ec68982057064", "6a7f3952cb6487af",
-                             "5a795b9c0047ae8a", "593c3f66d38f9685"),
-    ("coherent", 16, 1000): ("79417fe72455f5aa", "ba8cc0c23bd0e521",
-                             "b0047a25ee1e77f9", "fdd62013250adcd7"),
-    ("coherent", 3, 7001): ("d5a71de8bded58a4", "7981ec7ae09cb85c",
-                            "1b1c1f6c2dc6b57d", "fce48b8afff4ce59"),
+                             "25e06f2a7f51e173", "deb54d3d9298c165"),
+    ("coherent", 16, 1000): ("8f93dc9ae4e3e4ab", "33231fb8964fad6d",
+                             "8fd590b833c66a9f", "4fffd97336a8c43e"),
+    ("coherent", 3, 7001): ("4392578c6e4a36e2", "60a455201cc8d70a",
+                            "0284b3b8538b168c", "bb0559e55a3dbb9f"),
 }
 TASK_MODELS = {"thermal-width": THERMAL_W, "coherent": COHERENT}
 TASK_DELTAS = (np.array([0.9, 0.0, -0.9, 1.7]), np.array([0.4, 0.0, -0.4]))
@@ -581,9 +587,9 @@ def sums_digest(arrays):
     return h.hexdigest()[:16]
 
 
-class TestCarvedScratch:
-    """The trig kernel's scratch is carved from task buffers that are idle
-    while it runs; no view of them may alias an array still in use."""
+class TestBufferReuse:
+    """A thread's task buffers, reused from task to task, give the bits of
+    new ones."""
 
     @pytest.mark.parametrize("case", list(PINNED_TASK_SUMS), ids=lambda c: "-".join(map(str, c)))
     def test_task_sums_match_pinned_bits(self, case):
@@ -614,7 +620,6 @@ class TestOneDetectorRule:
     def test_rows_sum_to_task_sums(self, name, delta):
         from icfsim.montecarlo import _task_sums, detector_intensities
         model, seeds, size = TASK_MODELS[name], spawn_seeds(31, 1), 50_000
-        assert size > TRIG_CHUNK
         prod, sums = _task_sums(model, delta, seeds, size)
         rows = detector_intensities(model, delta,
                                     *sample_batch(model, rng_from_seed(seeds[0]), size))
@@ -623,8 +628,8 @@ class TestOneDetectorRule:
 
 
 class TestRepin:
-    """The pins made with ``sources.cos_sin`` stay within rounding of those
-    made with numpy's cos and sin."""
+    """The pins made with ``field_terms``' half-angle tangent stay within
+    rounding of those made with numpy's cos and sin."""
 
     @staticmethod
     def assert_close(new, old):

@@ -25,14 +25,7 @@ from icfsim.errors import (
 )
 from icfsim.constants import DEFAULT_SEED
 from icfsim.montecarlo import detector_intensities
-from icfsim.sources import (
-    TRIG_CHUNK,
-    TRIG_SCRATCH,
-    cos_sin,
-    rng_from_seed,
-    spawn_seeds,
-    trig_scratch,
-)
+from icfsim.sources import field_terms, rng_from_seed, spawn_seeds
 
 
 def exponential_moment(k):
@@ -351,25 +344,26 @@ class TestDetectorIntensities:
             assert np.array_equal(before, after)
 
 
-def kernel(theta, chunk=None):
-    """cos_sin of ``theta`` into new arrays, on scratch of ``chunk``
-    elements (by default ``trig_scratch``'s)."""
-    theta = np.asarray(theta, dtype=float)
-    scratch = (trig_scratch(theta.size) if chunk is None
-               else [np.empty(chunk) for _ in range(TRIG_SCRATCH)])
-    return cos_sin(theta, np.empty_like(theta), np.empty_like(theta), scratch)
+def kernel(theta):
+    """(cos, sin) of ``theta`` from ``field_terms`` at amplitude 1 (Ia = Ib
+    = 1/2), on new arrays."""
+    theta = np.array(theta, dtype=float)
+    half = np.full_like(theta, 0.5)
+    _, c, s = field_terms(half, half.copy(), theta, np.empty_like(theta))
+    return c, s
 
 
 def assert_kernel_matches_numpy(theta):
-    """``cos_sin`` against numpy's cos and sin, to 2**-52 absolute."""
+    """``field_terms``' cos and sin against numpy's, to 2**-52 absolute."""
     c, s = kernel(theta)
     assert np.max(np.abs(c - np.cos(theta))) <= 2.0 ** -52
     assert np.max(np.abs(s - np.sin(theta))) <= 2.0 ** -52
-    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4e-16
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 2.0 ** -51
 
 
 class TestCosSin:
-    """``cos_sin`` on fixed inputs; tests/test_cos_sin_property.py draws more."""
+    """cos and sin in ``field_terms`` on fixed inputs;
+    tests/test_cos_sin_property.py draws more."""
 
     def test_seeded_draws_on_one_turn(self):
         assert_kernel_matches_numpy(np.random.default_rng(21).random(1_000_000) * 2 * np.pi)
@@ -384,52 +378,44 @@ class TestCosSin:
         assert (c[0], s[0]) == (1.0, 0.0)
 
     def test_value_independent_of_chunk_boundaries(self):
-        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 2 * TRIG_CHUNK + 1001)
-        assert len(theta) > 2 * TRIG_CHUNK
+        # numpy's loops run in blocks of SIMD lanes and a remainder, and may
+        # take unaligned or short arrays another way: a value must not
+        # depend on its offset in the array or on the array's length
+        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 41_001)
         c, s = kernel(theta)
-        for i in (0, 1, TRIG_CHUNK - 1, TRIG_CHUNK, 2 * TRIG_CHUNK + 3, len(theta) - 1):
-            one_c, one_s = kernel(theta[i:i + 1])
-            assert (one_c[0], one_s[0]) == (c[i], s[i])
+        for start in (0, 1, 3, 7, 8, 17):
+            for length in (1, 2, 5, 8, 13, 64, 1001):
+                one_c, one_s = kernel(theta[start:start + length])
+                assert np.array_equal(one_c, c[start:start + length])
+                assert np.array_equal(one_s, s[start:start + length])
 
     def test_sine_may_overwrite_theta(self):
-        theta = np.random.default_rng(23).random((3, 5000)) * 2 * np.pi
-        c, s = kernel(theta)
-        cos = np.empty_like(theta)
-        cos_sin(theta, cos, theta, trig_scratch(theta.size))
-        assert np.array_equal(cos, c) and np.array_equal(theta, s)
+        rng = np.random.default_rng(23)
+        ia, ib = rng.standard_exponential((2, 3, 5000))
+        theta = rng.random((3, 5000)) * 2 * np.pi
+        amp = 2 * np.sqrt(ia * ib)
+        expect = ia + ib, amp * np.cos(theta), amp * np.sin(theta)
+        arrays = ia, ib, theta
+        got = field_terms(*arrays, np.empty_like(theta))
+        # base, c and s are written over ia, ib and theta, in that order
+        assert all(g is a for g, a in zip(got, arrays, strict=True))
+        assert np.array_equal(got[0], expect[0])
+        # 2**-52 at A = 1, and a rounding of the product by A on each side
+        for g, e in zip(got[1:], expect[1:]):
+            assert np.max(np.abs(g - e) / amp) <= 2.0 ** -51
 
-    @pytest.mark.parametrize("chunk", [1, 7, 8192, 20_000, 50_001])
-    def test_value_independent_of_scratch_length(self, chunk):
-        theta = np.random.default_rng(25).uniform(-20.0, 20.0, 50_000)
-        c, s = kernel(theta)
-        one_c, one_s = kernel(theta, chunk)
-        assert np.array_equal(one_c, c) and np.array_equal(one_s, s)
-
-    # below one chunk, a chunk and a part, many chunks
     @pytest.mark.parametrize("size", [10, 24_577, 400_000])
     def test_scratch_does_not_grow_with_size(self, size):
-        theta = np.random.default_rng(24).random(size) * 2 * np.pi
-        cos, sin = np.empty_like(theta), np.empty_like(theta)
-        scratch = trig_scratch(size)
+        rng = np.random.default_rng(24)
+        arrays = rng.random((4, size))
         tracemalloc.start()
         try:
-            cos_sin(theta, cos, sin, scratch)
+            field_terms(*arrays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the views the loop takes of its arrays, and no array data: the
-        # last chunk of 24 577 samples alone is 36 kB of doubles
+        # no array data: one array of 24 577 samples alone is 196 kB
         assert peak <= 4096
-
-    def test_scratch_carved_from_spare_arrays(self):
-        spare = [np.empty((2, 15_000)), np.empty(TRIG_CHUNK - 1)]
-        scratch = trig_scratch(10 ** 6, spare)
-        assert [a.shape for a in scratch] == [(TRIG_CHUNK,)] * TRIG_SCRATCH
-        # one chunk fits in the first array's 30 000 elements, none in the second
-        assert np.shares_memory(scratch[0], spare[0])
-        assert not any(np.shares_memory(a, b) for a in scratch[1:] for b in spare)
-        assert [len(a) for a in trig_scratch(5, spare)] == [5] * TRIG_SCRATCH
-        assert [len(a) for a in trig_scratch(0)] == [1] * TRIG_SCRATCH
 
 
 class TestSerialization:
