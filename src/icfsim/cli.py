@@ -474,29 +474,28 @@ def cmd_process(opts: dict) -> int:
     fringe = fringe_visibility(profile, reader.fringe_period_px)
     print(f"mean-intensity fringe visibility = {fringe:.4f}")
 
-    out = opts["out"]
-    fmt = opts["format"]
-    written = [_write_pattern(intensity, *_output_path(f"{out}_intensity", fmt))]
-
     batches = opts["batches"]
-    g3 = g3_profile(series, n_batches=batches)
-    if g3.stderrs is None:
-        print(f"warning: no standard errors from {series.n_frames} frames in {batches} "
-              f"batches: they need at least 2 batches of 2 or more frames "
-              f"({2 * max(batches, 2)} frames for {max(batches, 2)} batches)", file=sys.stderr)
-    err = g3.visibility_stderr()
-    print(f"g3 visibility = {g3.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
-    written.append(_write_pattern(g3, *_output_path(f"{out}_g3", fmt)))
-    patterns = {"g3": g3}
-    try:
-        g4 = g4_profile(series, n_batches=batches)
-    except ReferenceOutOfRange as exc:
-        print(f"g4 skipped: {exc}")
-    else:
-        err = g4.visibility_stderr()
-        print(f"g4 visibility = {g4.visibility:.6f}" + ("" if err is None else f" +/- {err:.6f}"))
-        written.append(_write_pattern(g4, *_output_path(f"{out}_g4", fmt)))
-        patterns["g4"] = g4
+    patterns = {}  # every pattern is formed before any file is written
+    # g4 alone is skipped where the reference column leaves it no room
+    for name, make, skipped in (("g3", g3_profile, ()),
+                                ("g4", g4_profile, ReferenceOutOfRange)):
+        try:
+            pattern = make(series, n_batches=batches)
+        except skipped as exc:
+            print(f"{name} skipped: {exc}")
+            continue
+        if name == "g3" and pattern.stderrs is None:
+            print(f"warning: no standard errors from {series.n_frames} frames in {batches} "
+                  f"batches: they need at least 2 batches of 2 or more frames "
+                  f"({2 * max(batches, 2)} frames for {max(batches, 2)} batches)",
+                  file=sys.stderr)
+        err = pattern.visibility_stderr()
+        print(f"{name} visibility = {pattern.visibility:.6f}"
+              + ("" if err is None else f" +/- {err:.6f}"))
+        patterns[name] = pattern
+    out, fmt = opts["out"], opts["format"]
+    written = [_write_pattern(pattern, *_output_path(f"{out}_{name}", fmt))
+               for name, pattern in {"intensity": intensity, **patterns}.items()]
     for path in written:
         print(f"wrote {path}")
     if opts.get("plot"):

@@ -3,27 +3,32 @@
 The estimator mirrors the experimental normalization convention: the value
 is the sample mean of the detector-intensity product divided by the product
 of the per-detector sample means (a ratio estimator over the same sample),
-not the true means.  Standard errors come from batch means: the sample is
-split into equal batches, the same ratio is formed per batch, and the
-standard error is the batch standard deviation over sqrt(n_batches).
+not the true means.  Each draw enters averaged over the reflections of its
+relative phase, theta, -theta, pi + theta and pi - theta, which are as
+likely as theta itself (antithetic variates): the average keeps the
+monomials base^i c^j s^k of the product with j and k both even, and makes
+every detector's intensity base = Ia + Ib, so each per-detector mean is the
+mean of base.  Standard errors come from batch means: the sample is split
+into equal batches, the same ratio is formed per batch, and the standard
+error is the batch standard deviation over sqrt(n_batches).
 ``ratio_of_means`` is that estimator; the frame pipeline's correlation
 profiles use it too, with one frame per row.
 
 Every batch owns a seeded substream, the one ``SeedSequence(seed).spawn``
 gives it, whose state words ``sources.spawn_seeds`` builds for every batch
-in one pass.  In a scan it serves every grid point: the draws are reduced
-once to monomial sums that each point contracts with its own coefficients.
-So a point's value and stderr do not depend on the rest of the grid, and
-the errors of a scan's points are correlated.  A call's work is one list
-of tasks, runs of consecutive batches sized from the batch size alone;
+in one pass.  One kernel, ``_even_sums``, reduces a batch's draws once to
+the sums of the even monomials, which every point (a scan's grid points,
+or ``estimate_icf``'s one) contracts with its own coefficients.  So a
+point's value and stderr do not depend on the rest of the grid, and the
+errors of a scan's points are correlated.  A call's work is one list of
+tasks, runs of consecutive batches sized from the batch size alone;
 ``run_tasks``, which renders frames too, runs them on one thread pool (or
 inline) and merges them in order: results do not depend on workers.
 Batches of fewer than ``2 * _TASK_SAMPLES`` samples run inline, as their
 numpy calls are too short to overlap on two threads.  Each thread reuses
 its work buffers from task to task within a call, so batches do not fault
-in fresh memory; the buffers go when the call returns.  A sample's cos and
-sin of the relative phase come from one tangent of the half angle, in
-``sources.field_terms``, in place in those buffers.
+in fresh memory; the buffers go when the call returns.  A sample's c^2 and
+s^2 come from one tangent of theta, in place in those buffers.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -105,67 +111,50 @@ def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray
     return base + np.multiply.outer(kc, c) - np.multiply.outer(ks, s)
 
 
-def _task_sums(model: SourceModel, delta: np.ndarray, seeds: np.ndarray, size: int,
-               work=None):
-    """Per-batch sums of the detector-intensity products, shape (batches,),
-    and of each detector's intensity, shape (batches, detectors), where batch
-    k draws ``size`` samples from ``seeds[k]``.  Every reduction runs along a
-    batch's own row, so it does not depend on the run of batches.
+def _even_monomials(order: int) -> list:
+    """The reflection-even monomials of a product of ``order`` detectors,
+    base^(order % 2) B^i C^a S^b with i + a + b = order // 2, as tuples of
+    indices into (B, C, S), in the order ``_even_sums`` sums them."""
+    return list(combinations_with_replacement(range(3), order // 2))
+
+
+def _even_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int, work=None):
+    """Per-batch sums of the ``_even_monomials(order)``, shape (batches,
+    monomials), and of base, shape (batches,), where batch k draws ``size``
+    samples from ``seeds[k]``.  In the terms of ``_detector_factors``,
+    B = base^2, C = c^2 and S = s^2: with T = tan(theta) and A^2 = 4 Ia Ib,
+    C = A^2/(1 + T^2) and S = C T^2.  Every reduction runs along a batch's
+    own row, so it does not depend on the run of batches.
     """
-    ia, ib, theta, amp, row, prod = _workspace(work, 6, (len(seeds), size))
+    odd = order % 2
+    ia, ib, theta, term, *extra = _workspace(work, 4 + odd, (len(seeds), size))
     _draw(model, seeds, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, amp)
-    sums = np.empty((len(seeds), len(delta)))
-    for j, (kc, ks) in enumerate(zip(*_detector_factors(model, delta))):
-        np.multiply(c, kc, out=row)
-        row += base
-        row -= np.multiply(s, ks, out=amp)
-        sums[:, j] = row.sum(axis=-1)
-        np.multiply(prod if j else 1.0, row, out=prod)
-    if not len(delta):
-        prod.fill(1.0)
-    return prod.sum(axis=-1), sums
+    np.multiply(ia, ib, out=term)
+    term *= 4.0  # A^2
+    base = np.add(ia, ib, out=ia)
+    t2 = np.square(np.tan(theta, out=theta), out=theta)
+    c2 = np.divide(term, np.add(t2, 1.0, out=ib), out=ib)
+    base_sums = base.sum(axis=-1)  # before an even order squares base in place
+    squares = (np.square(base, out=extra[0] if odd else base), c2,
+               np.multiply(c2, t2, out=theta))
+    sums = []
+    for monomial in _even_monomials(order):
+        factors = [squares[i] for i in monomial] + [base] * odd  # products go into term
+        prod = reduce(partial(np.multiply, out=term), factors) if factors else np.ones_like(term)
+        sums.append(prod.sum(axis=-1))
+    return np.stack(sums, axis=-1), base_sums
 
 
-def _times(a, b, out):
-    """a * b, written into ``out`` unless a factor is None, which stands for 1."""
-    if a is None or b is None:
-        return b if a is None else a
-    return np.multiply(a, b, out=out)
-
-
-def _power_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int,
-                work=None):
-    """Per-batch sums, drawn as in ``_task_sums``, of the monomials
-    base^(order-j-k) c^j s^k (j + k <= order, j major) in the terms of
-    ``field_terms``, shape (batches, monomials), and of base, c and s.
-    """
-    ia, ib, theta, term, c_pow, cs_pow, *higher = _workspace(work, order + 5,
-                                                             (len(seeds), size))
-    _draw(model, seeds, ia, ib, theta)
-    base, c, s = field_terms(ia, ib, theta, term)
-    base_pow = [None, base]  # None: base^0
-    for p in higher:
-        base_pow.append(np.multiply(base_pow[-1], base, out=p))
-    sums, cj = [], None  # cj holds c^j, and t below c^j s^k
-    for j in range(order + 1):
-        t = cj
-        for k in range(order + 1 - j):
-            sums.append(_times(t, base_pow[order - j - k], term).sum(axis=-1))
-            if k < order - j:
-                t = _times(t, s, cs_pow)
-        if j < order:
-            cj = _times(cj, c, c_pow)
-    return np.stack(sums, axis=-1), np.stack([a.sum(axis=-1) for a in (base, c, s)], axis=-1)
-
-
-def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
-               linear: np.ndarray):
-    """Per-batch product and detector sums at phases ``deltas`` (points,
-    detectors) from ``_power_sums``, each detector by ``_detector_factors``.
-    The contraction is elementwise and sequential, not a matrix product or
-    a numpy sum (whose order depends on the shape), so a point's sums do not
-    depend on the rest of the grid.
+def _even_products(model: SourceModel, deltas: np.ndarray, sums: np.ndarray,
+                   base_sums: np.ndarray):
+    """Per-batch sums of the detector-intensity product at phases ``deltas``
+    (points, detectors), averaged over the reflections of theta, shape
+    (batches, points), from ``_even_sums``, each detector by
+    ``_detector_factors``; and of each detector's intensity, shape (batches,
+    points, detectors), which that average makes base.  The contraction is
+    elementwise and sequential, not a matrix product or a numpy sum (whose
+    order depends on the shape), so a point's sums do not depend on the rest
+    of the grid.
     """
     kc, ks = _detector_factors(model, deltas)
     order = deltas.shape[1]
@@ -176,10 +165,11 @@ def _scan_sums(model: SourceModel, deltas: np.ndarray, powers: np.ndarray,
         prev = coef.copy()
         coef[:, 1:, :] += kc[:, d, None, None] * prev[:, :-1, :]
         coef[:, :, 1:] -= ks[:, d, None, None] * prev[:, :, :-1]
-    coef = coef[:, np.add.outer(range(order + 1), range(order + 1)) <= order]
-    prod = np.cumsum(powers[:, None, :] * coef, axis=-1)[..., -1]
-    base, c, s = (linear[:, None, None, i] for i in range(3))
-    return prod, base + kc * c - ks * s
+    # base^(order % 2) B^i C^a S^b is base^(order-2a-2b) c^2a s^2b
+    coef = np.stack([coef[:, 2 * m.count(1), 2 * m.count(2)] for m in _even_monomials(order)],
+                    axis=-1)
+    prod = np.cumsum(sums[:, None, :] * coef, axis=-1)[..., -1]
+    return prod, np.broadcast_to(base_sums[:, None, None], (*prod.shape, order))
 
 
 def ratio_of_means(prod: np.ndarray, factors: np.ndarray, count: int, n_batches: int):
@@ -256,18 +246,27 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     return [np.concatenate(parts) for parts in zip(*run_tasks(run, tasks, workers))]
 
 
+def _estimate(model: SourceModel, deltas: np.ndarray, n_samples: int, n_batches: int,
+              seed: int | None, workers: int):
+    """Values and stderrs at phases ``deltas`` (points, detectors), every
+    point from the same draws."""
+    sums = _batch_sums(partial(_even_sums, model, deltas.shape[1]), n_samples, n_batches,
+                       seed, workers)
+    return ratio_of_means(*_even_products(model, deltas, *sums), n_samples // n_batches,
+                          n_batches)
+
+
 def estimate_icf(model: SourceModel, delta, n_samples: int,
                  n_batches: int = 100, seed: int | None = None,
                  workers: int = 1) -> IcfEstimate:
-    """Estimate the normalized correlation at one detector-phase tuple.
+    """Estimate the normalized correlation at one detector-phase tuple: a
+    one-point ``estimate_scan``, equal to it there bit for bit.
 
     ``workers`` is the most threads used; batches of fewer than
     ``2 * _TASK_SAMPLES`` samples run on one.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    prods, sums = _batch_sums(partial(_task_sums, model, delta), n_samples, n_batches,
-                              seed, workers)
-    value, stderr = ratio_of_means(prods, sums, n_samples // n_batches, n_batches)
+    (value,), (stderr,) = _estimate(model, delta[None], n_samples, n_batches, seed, workers)
     return IcfEstimate(float(value), float(stderr), n_samples, n_batches)
 
 
@@ -277,13 +276,10 @@ def estimate_scan(model: SourceModel, pattern: ScanPattern, n_samples: int,
     """Estimate the correlation at every grid point of a scan pattern.
 
     Every point shares the draws of the batch seeds ``estimate_icf`` uses,
-    so its value equals ``estimate_icf`` there to rounding, whatever the
-    rest of the grid; the errors of different points are correlated.
-    ``workers`` is the most threads used, as in ``estimate_icf``.
+    so its value and stderr equal ``estimate_icf``'s there bit for bit,
+    whatever the rest of the grid; the errors of different points are
+    correlated.  ``workers`` is the most threads used, as in ``estimate_icf``.
     """
-    deltas = pattern.delta_array()
-    powers, linear = _batch_sums(partial(_power_sums, model, deltas.shape[1]),
-                                 n_samples, n_batches, seed, workers)
-    values, stderrs = ratio_of_means(*_scan_sums(model, deltas, powers, linear),
-                                     n_samples // n_batches, n_batches)
+    values, stderrs = _estimate(model, pattern.delta_array(), n_samples, n_batches, seed,
+                                workers)
     return InterferencePattern(xs=pattern.grid, values=values, stderrs=stderrs)

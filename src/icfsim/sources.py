@@ -235,7 +235,9 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=No
 def field_terms(ia, ib, theta, amp):
     """base = Ia + Ib, c = A cos(theta) and s = A sin(theta), A = 2 sqrt(Ia Ib),
     written over ``ia``, ``ib`` and ``theta`` and returned in that order
-    (``amp`` is overwritten), with no new array.  With t = tan(theta/2) and
+    (``amp`` is overwritten), with no new array, for
+    ``montecarlo.detector_intensities`` (the estimators need only c^2 and
+    s^2, which ``montecarlo._even_sums`` forms itself).  With t = tan(theta/2) and
     q = 1 + t^2, c = A (1 - t^2)/q and s = 2 A t/q, one division each: at
     A = 1 within 2**-52 of numpy's cos and sin for |theta| <= 1e4, and
     exactly (A, 0) at theta = 0.

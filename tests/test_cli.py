@@ -142,9 +142,9 @@ class TestMc:
         code, text, _ = run(capsys, "mc", "--samples", "20000", "--batches", "20",
                             "--out", str(tmp_path / "m.csv"), "--plot", str(tmp_path / "m.svg"))
         assert code == 0
-        assert text.splitlines()[0] == "visibility = 0.817563 +/- 0.001775"
+        assert text.splitlines()[0] == "visibility = 0.818118 +/- 0.000414"
         assert plot_labels(tmp_path / "m.svg") == (
-            "coherent order-3 Monte Carlo (V = 0.8176 +/- 0.0018)",
+            "coherent order-3 Monte Carlo (V = 0.8181 +/- 0.0004)",
             "classical-limit floor (V = 0.8182)")
         overlay = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="#999999"',
                              (tmp_path / "m.svg").read_text())
@@ -315,9 +315,9 @@ class TestMcVerdict:
         code, text, _ = run(capsys, "mc", "--out", str(tmp_path / "p.csv"))
         assert code == 0
         assert text.splitlines()[:3] == [
-            "visibility = 0.817301 +/- 0.000694",
+            "visibility = 0.818216 +/- 0.000200",
             "classical limit (coherent, order 3) = 0.818181818",
-            "PASS: visibility within the classical bound (z = -1.27)"]
+            "PASS: visibility within the classical bound (z = +0.17)"]
 
     def test_info_rate_small_when_the_truth_sits_at_the_limit(self):
         # coherent order 3 reaches 9/11 exactly, so z sits near 0 apart from
@@ -492,6 +492,15 @@ class TestFramesCli:
         code, _, err = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
         assert (code, err) == (1, "error: the mean profile of a batch of frames vanishes at "
                                   "a column used by the correlation arguments\n")
+
+    def test_refused_stack_writes_no_file(self, tmp_path, capsys):
+        # the intensity profile was written before g3 refused the stack
+        stack_dir = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "24", "--frame-width", "96", "--frame-height", "3",
+            "--peak-level", "100", "--out", str(stack_dir))
+        code, text, _ = run(capsys, "process", str(stack_dir), "--out", str(tmp_path / "run"))
+        assert code == 1 and text.startswith("mean-intensity fringe visibility = ")
+        assert not list(tmp_path.glob("run*"))
 
     def test_process_period_too_narrow_to_estimate_exit_1(self, tmp_path, capsys):
         # ended in a ValueError traceback from frames.estimate_fringe_period

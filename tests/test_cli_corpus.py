@@ -8,7 +8,9 @@ The hashes hold for the numpy and Python versions recorded beside them,
 and for numpy's float64 ``tan`` loop, which numpy picks by CPU and from
 which every Monte Carlo sample takes its cos and sin; where any of them
 differs the test fails and names both records.  To record the corpus again,
-run ``PYTHONPATH=src python tests/test_cli_corpus.py``.
+run ``PYTHONPATH=src python tests/test_cli_corpus.py``: it prints each step
+whose record moved, with the field that moved (exit, stdout, stderr or a
+written file) and its old -> new short hash, "-" where there was none.
 """
 
 import hashlib
@@ -151,6 +153,27 @@ def tree_hashes(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line for each field of each case's step that differs between the
+    corpus records ``old`` and ``new``."""
+    def short(value):
+        return "-" if value is None else value[:12] if isinstance(value, str) else str(value)
+
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        a_steps, b_steps = old.get(case, []), new.get(case, [])
+        for step in range(max(len(a_steps), len(b_steps))):
+            a = a_steps[step] if step < len(a_steps) else {}
+            b = b_steps[step] if step < len(b_steps) else {}
+            fields = {f: (a.get(f), b.get(f)) for f in ("exit", "stdout", "stderr")}
+            a_files, b_files = a.get("written", {}), b.get("written", {})
+            fields.update({f"written {path}": (a_files.get(path), b_files.get(path))
+                           for path in sorted(a_files.keys() | b_files.keys())})
+            lines += [f"{case} step {step + 1}: {field} {short(x)} -> {short(y)}"
+                      for field, (x, y) in fields.items() if x != y]
+    return lines
+
+
 def run_case(name: str) -> list[dict]:
     """The record of each of case ``name``'s steps, run in the current
     directory, which must be empty."""
@@ -190,6 +213,17 @@ def test_every_case_is_recorded(corpus):
     assert sorted(corpus) == sorted(CASES)
 
 
+def test_moved_names_each_changed_field():
+    old = {"a": [{"exit": 0, "stdout": "1" * 64, "stderr": "2" * 64, "written": {"f": "3" * 64}}],
+           "b": [{"exit": 1, "stdout": "4" * 64, "stderr": "5" * 64, "written": {}}]}
+    new = {"a": [{"exit": 0, "stdout": "6" * 64, "stderr": "2" * 64, "written": {"g": "7" * 64}}],
+           "b": old["b"]}
+    assert moved(old, new) == ["a step 1: stdout 111111111111 -> 666666666666",
+                               "a step 1: written f 333333333333 -> -",
+                               "a step 1: written g - -> 777777777777"]
+    assert moved(old, old) == []
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_case_matches_the_corpus(corpus, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
@@ -207,4 +241,8 @@ if __name__ == "__main__":
                 cases[case] = run_case(case)
             finally:
                 os.chdir(cwd)
+    old = json.loads(DATA.read_text()) if DATA.exists() else {"versions": None, "cases": {}}
+    if old["versions"] != versions():
+        print(f"versions: {old['versions']} -> {versions()}")
+    print("\n".join(moved(old["cases"], cases)) or "no record moved")
     DATA.write_text(json.dumps({"versions": versions(), "cases": cases}, indent=1) + "\n")

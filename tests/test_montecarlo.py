@@ -18,6 +18,7 @@ from icfsim import (
     scan,
 )
 from icfsim.errors import BadBatching, CustomModelNotSamplable
+from icfsim.montecarlo import _even_products, _even_sums, detector_intensities
 from icfsim.sources import rng_from_seed, sample_batch, spawn_seeds
 
 COHERENT = SourceModel.coherent()
@@ -31,6 +32,33 @@ def spawned_words(seed, n):
     """The batch seeds of a run, as numpy's own spawned children give them."""
     return np.stack([s.generate_state(4, np.uint64)
                      for s in np.random.SeedSequence(seed).spawn(n)])
+
+
+def point_sums(model, delta, seeds, size):
+    """One point's per-batch product and detector sums, shapes (batches,) and
+    (batches, detectors), from the even kernel."""
+    delta = np.asarray(delta, dtype=float)
+    prod, factors = _even_products(model, delta[None],
+                                   *_even_sums(model, len(delta), seeds, size))
+    return prod[:, 0], factors[:, 0]
+
+
+def reflected_sums(model, deltas, seeds, size):
+    """The direct reference for the even kernel: per-batch sums, shapes
+    (batches, points) and (batches, points, detectors), of each point's
+    detector-intensity product and of each detector's intensity, from
+    ``detector_intensities`` on batch k's draws, each averaged over the
+    reflections theta, -theta, pi + theta and pi - theta."""
+    prods, factors = [], []
+    for words in seeds:
+        ia, ib, theta = sample_batch(model, rng_from_seed(words), size)
+        # (points, reflections, detectors, samples)
+        rows = np.array([[detector_intensities(model, delta, ia, ib, t)
+                          for t in (theta, -theta, np.pi + theta, np.pi - theta)]
+                         for delta in deltas])
+        prods.append(rows.prod(axis=2).mean(axis=1).sum(axis=-1))
+        factors.append(rows.mean(axis=1).sum(axis=-1))
+    return np.array(prods), np.array(factors)
 
 
 class TestEstimateIcf:
@@ -126,12 +154,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
     def test_batch_sums_independent_of_task_split(self, model):
-        from icfsim.montecarlo import _task_sums
         delta = np.array([0.9, 0.0, -0.9, 1.7])
         seeds = spawned_words(61, 21)
         split = {}
         for per_task in (1, 3, 7):
-            parts = [_task_sums(model, delta, seeds[k:k + per_task], 999)
+            parts = [point_sums(model, delta, seeds[k:k + per_task], 999)
                      for k in range(0, len(seeds), per_task)]
             split[per_task] = (np.concatenate([p for p, _ in parts]),
                                np.concatenate([s for _, s in parts]))
@@ -224,15 +251,15 @@ class TestDeterminism:
                 assert estimate(model, g[i:i + 1]) == ([values[i]], [stderrs[i]])
 
     def test_batch_mean_set_invariant_under_merge_order(self):
-        from icfsim.montecarlo import _task_sums, ratio_of_means
+        from icfsim.montecarlo import ratio_of_means
         delta = np.array([0.3, 0.0, -0.3])
         seeds = spawned_words(55, 20)
-        ratios = [ratio_of_means(*_task_sums(THERMAL, delta, seeds[k:k + 1], 1000), 1000, 1)[0]
+        ratios = [ratio_of_means(*point_sums(THERMAL, delta, seeds[k:k + 1], 1000), 1000, 1)[0]
                   for k in range(20)]
         rng = np.random.default_rng(0)
         for _ in range(5):
             order = rng.permutation(20)
-            shuffled = [ratio_of_means(*_task_sums(THERMAL, delta, seeds[i:i + 1], 1000),
+            shuffled = [ratio_of_means(*point_sums(THERMAL, delta, seeds[i:i + 1], 1000),
                                        1000, 1)[0]
                         for i in order]
             assert sorted(shuffled) == sorted(ratios)
@@ -300,29 +327,26 @@ SCAN_CASES = {
 
 
 class TestSharedSamples:
-    """A scan draws once per batch and reduces the draws to monomial sums."""
+    """A scan draws once per batch and reduces the draws to the sums of the
+    monomials that survive the average over theta's reflections."""
 
     @pytest.mark.parametrize("case", list(MONOMIAL_CASES))
     def test_monomial_sums_match_direct_products(self, case):
-        from icfsim.montecarlo import _power_sums, _scan_sums, _task_sums
         model, deltas = MONOMIAL_CASES[case]
         seeds = spawned_words(71, 5)
-        prod, factors = _scan_sums(model, deltas,
-                                   *_power_sums(model, deltas.shape[1], seeds, 2000))
-        # the row kernel on the same draws, one point at a time
-        direct = [_task_sums(model, delta, seeds, 2000) for delta in deltas]
-        np.testing.assert_allclose(prod, np.stack([p for p, _ in direct], axis=1),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(factors, np.stack([s for _, s in direct], axis=1),
-                                   rtol=1e-12, atol=0)
+        prod, factors = _even_products(model, deltas,
+                                       *_even_sums(model, deltas.shape[1], seeds, 2000))
+        # the direct products of the same draws, averaged over the reflections
+        direct_prod, direct_factors = reflected_sums(model, deltas, seeds, 2000)
+        np.testing.assert_allclose(prod, direct_prod, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(factors, direct_factors, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
     def test_power_sums_independent_of_task_split(self, model):
-        from icfsim.montecarlo import _power_sums
         seeds = spawned_words(61, 21)
-        whole = _power_sums(model, 4, seeds, 999)
+        whole = _even_sums(model, 4, seeds, 999)
         for per_task in (3, 7):
-            parts = [_power_sums(model, 4, seeds[k:k + per_task], 999)
+            parts = [_even_sums(model, 4, seeds[k:k + per_task], 999)
                      for k in range(0, len(seeds), per_task)]
             for sums, split in zip(whole, zip(*parts)):
                 assert np.array_equal(np.concatenate(split), sums)
@@ -333,8 +357,20 @@ class TestSharedSamples:
         est = estimate_scan(model, pattern, 20_000, n_batches=20, seed=31)
         for p, delta in enumerate(pattern.delta_array()):
             point = estimate_icf(model, delta, 20_000, n_batches=20, seed=31)
-            assert est.values[p] == pytest.approx(point.value, rel=1e-13, abs=0)
-            assert est.stderrs[p] == pytest.approx(point.stderr, rel=1e-13, abs=0)
+            assert (est.values[p], est.stderrs[p]) == (point.value, point.stderr)
+
+    def test_exact_symmetry_points_are_exact(self):
+        # at phases (phi, 0, -phi), phi = 2 pi/3 or 4 pi/3, the coherent
+        # product's reflection average does not depend on theta: the estimate
+        # is the closed form to rounding, and its stderr rounding noise
+        pattern = ScanPattern(order=3, scheme="symmetric_opposite",
+                              grid=np.linspace(0.0, 2 * np.pi, 4))
+        for seed in range(3):
+            est = estimate_scan(COHERENT, pattern, 100_000, seed=seed)
+            for p in (1, 2):
+                exact = scan(COHERENT, pattern).values[p]
+                assert abs(est.values[p] - exact) <= 1e-13 * exact
+                assert est.stderrs[p] < 1e-15 * est.values[p]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scan_draws_once_per_batch(self, monkeypatch, workers):
@@ -367,11 +403,11 @@ class TestSharedSamples:
 
 class TestStderrScaling:
     def test_stderr_is_batch_std_over_sqrt_batches(self):
-        from icfsim.montecarlo import _task_sums, ratio_of_means
+        from icfsim.montecarlo import ratio_of_means
         delta = np.array([0.6, 0.0])
         est = estimate_icf(THERMAL, delta, 20_000, n_batches=20, seed=77)
         seeds = spawned_words(77, 20)
-        ratios = np.array([ratio_of_means(*_task_sums(THERMAL, delta, seeds[k:k + 1], 1000),
+        ratios = np.array([ratio_of_means(*point_sums(THERMAL, delta, seeds[k:k + 1], 1000),
                                           1000, 1)[0]
                            for k in range(20)])
         assert est.stderr == pytest.approx(ratios.std(ddof=1) / math.sqrt(20),
@@ -414,89 +450,87 @@ class TestEnvelopeScan:
 # tests/test_cli_corpus.py records that loop beside its hashes.
 
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
-# batch), seed 2718, as float.hex of (values, stderrs); made once the points
-# of a scan shared their draws, and made again once cos and sin came from one
-# half-angle tangent in sources.field_terms.  TestSharedSamples ties them to
-# estimate_icf, and TestRepin to the values of numpy's cos and sin in
-# PINNED_SCANS_LIBM.
+# batch), seed 2718, as float.hex of (values, stderrs); made once each draw
+# was averaged over theta's reflections, with c^2 and s^2 from one tangent of
+# theta.  TestSharedSamples ties them to estimate_icf, and TestRepin to the
+# values of numpy's cos and sin in PINNED_SCANS_LIBM.
 PINNED_SCANS = {
     ("coherent", 3, "symmetric_opposite"): (
-        ["0x1.3fe52bb459a1ap+1", "0x1.000fcde2c4dbcp-2", "0x1.000fcde2c4dbbp-2",
-         "0x1.3fe52bb459a1ap+1"],
-        ["0x1.884f68e439978p-7", "0x1.4f11832b868fdp-11", "0x1.4f11832b8689bp-11",
-         "0x1.884f68e439978p-7"]),
+        ["0x1.407af3cf91787p+1", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+         "0x1.407af3cf91787p+1"],
+        ["0x1.20a47a370b2e8p-8", "0x1.314c3d92a9e90p-56", "0x1.0dd90273c3ce2p-56",
+         "0x1.20a47a370b2e8p-8"]),
     ("thermal", 4, "four_point_double_speed"): (
-        ["0x1.83b4e91b73c41p+4", "0x1.d6f5da429b2d8p+1", "0x1.da7b4e3e05c1ep+1",
-         "0x1.83b4e91b73c41p+4"],
-        ["0x1.9c4076c6053d5p-2", "0x1.32f720c6e23f2p-4", "0x1.28f877d3c687ap-4",
-         "0x1.9c4076c6053d5p-2"]),
+        ["0x1.7cad9268a656cp+4", "0x1.ddb99d51b8ca4p+1", "0x1.ddb99d51b8ca6p+1",
+         "0x1.7cad9268a656cp+4"],
+        ["0x1.4fb6935419852p-2", "0x1.e7438b3de463ap-5", "0x1.e7438b3de463fp-5",
+         "0x1.4fb6935419852p-2"]),
     ("thermal", 3, "single_detector"): (
-        ["0x1.024d8de97e9e5p+2", "0x1.a2f199e6f6c4bp+0", "0x1.b096bf2db2097p+1",
-         "0x1.024d8de97e9e5p+2"],
-        ["0x1.1caaeb943436dp-5", "0x1.248bb6b931bd9p-7", "0x1.35313dd6de074p-5",
-         "0x1.1caaeb9434362p-5"]),
+        ["0x1.fe4ece46d8dcdp+1", "0x1.a115c5b05cd49p+0", "0x1.ae08280b5a02ep+1",
+         "0x1.fe4ece46d8dcdp+1"],
+        ["0x1.5d9b61fee32aep-6", "0x1.8967e14ac3af6p-7", "0x1.7be2e859d70b2p-6",
+         "0x1.5d9b61fee32aep-6"]),
 }
 
 # estimate_scan at 4 grid points at the icfsim mc batching, 100 batches of
 # 1000 samples (tasks of 16 batches, the last of 4), seed 2718, as float.hex
-# of (values, stderrs); made while each batch's generator came from
-# SeedSequence.spawn and default_rng, and made again once cos and sin came
-# from one half-angle tangent.
+# of (values, stderrs); made once each draw was averaged over theta's
+# reflections.
 PINNED_CLI_SCANS = {
     ("coherent", 3, "symmetric_opposite"): (
-        ["0x1.3f9e152a73863p+1", "0x1.ff3ee5e87ba88p-3", "0x1.ff3ee5e87ba85p-3",
-         "0x1.3f9e152a73863p+1"],
-        ["0x1.2c49ac1d5d8bep-7", "0x1.32850256ac01cp-11", "0x1.32850256ac021p-11",
-         "0x1.2c49ac1d5d8bep-7"]),
+        ["0x1.3f98868fb5dc8p+1", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+         "0x1.3f98868fb5dc8p+1"],
+        ["0x1.9626816738359p-9", "0x1.a1caf5ad92346p-58", "0x1.822cb17ff2eb8p-58",
+         "0x1.9626816738359p-9"]),
     ("thermal", 4, "four_point_double_speed"): (
-        ["0x1.79bd0c7720cd6p+4", "0x1.e0e556b7b4b50p+1", "0x1.e2d3fbb9dec8ep+1",
-         "0x1.79bd0c7720cd6p+4"],
-        ["0x1.ed3118a612cf0p-2", "0x1.d0fc3143ac772p-5", "0x1.cc5176c15b07ep-5",
-         "0x1.ed3118a612cf2p-2"]),
+        ["0x1.775e2cf8c3b46p+4", "0x1.e1adf1014d0c0p+1", "0x1.e1adf1014d0c1p+1",
+         "0x1.775e2cf8c3b46p+4"],
+        ["0x1.64076d444a2b2p-2", "0x1.93ebc513ba984p-5", "0x1.93ebc513ba984p-5",
+         "0x1.64076d444a2b2p-2"]),
 }
 
 # estimate_scan at 4 grid points, 100 000 samples in 10 batches (one task per
-# batch), seed 2718, as float.hex of (values, stderrs); made once the points
-# of a scan shared their draws, while cos and sin came from numpy.
+# batch), seed 2718, as float.hex of (values, stderrs); made once each draw
+# was averaged over theta's reflections, with c^2 = (A cos theta)^2 and
+# s^2 = (A sin theta)^2 from numpy's cos and sin.
 PINNED_SCANS_LIBM = {
     ("coherent", 3, "symmetric_opposite"): (
-        ["0x1.3fe52bb459a1ap+1", "0x1.000fcde2c4dbcp-2", "0x1.000fcde2c4dbbp-2",
-         "0x1.3fe52bb459a1ap+1"],
-        ["0x1.884f68e439978p-7", "0x1.4f11832b868fdp-11", "0x1.4f11832b868bfp-11",
-         "0x1.884f68e439978p-7"]),
+        ["0x1.407af3cf91787p+1", "0x1.0000000000000p-2", "0x1.0000000000000p-2",
+         "0x1.407af3cf91787p+1"],
+        ["0x1.20a47a370b2e8p-8", "0x1.314c3d92a9e90p-56", "0x1.afc19d8606168p-57",
+         "0x1.20a47a370b2e8p-8"]),
     ("thermal", 4, "four_point_double_speed"): (
-        ["0x1.83b4e91b73c3fp+4", "0x1.d6f5da429b2d5p+1", "0x1.da7b4e3e05c1ep+1",
-         "0x1.83b4e91b73c3fp+4"],
-        ["0x1.9c4076c6053f5p-2", "0x1.32f720c6e23f8p-4", "0x1.28f877d3c687dp-4",
-         "0x1.9c4076c6053f5p-2"]),
+        ["0x1.7cad9268a656cp+4", "0x1.ddb99d51b8ca4p+1", "0x1.ddb99d51b8ca6p+1",
+         "0x1.7cad9268a656cp+4"],
+        ["0x1.4fb6935419852p-2", "0x1.e7438b3de4636p-5", "0x1.e7438b3de463fp-5",
+         "0x1.4fb6935419852p-2"]),
     ("thermal", 3, "single_detector"): (
-        ["0x1.024d8de97e9e4p+2", "0x1.a2f199e6f6c4bp+0", "0x1.b096bf2db2097p+1",
-         "0x1.024d8de97e9e5p+2"],
-        ["0x1.1caaeb9434379p-5", "0x1.248bb6b931bf0p-7", "0x1.35313dd6de079p-5",
-         "0x1.1caaeb9434374p-5"]),
+        ["0x1.fe4ece46d8dcdp+1", "0x1.a115c5b05cd49p+0", "0x1.ae08280b5a02ep+1",
+         "0x1.fe4ece46d8dcdp+1"],
+        ["0x1.5d9b61fee32aep-6", "0x1.8967e14ac3af1p-7", "0x1.7be2e859d70b2p-6",
+         "0x1.5d9b61fee32aep-6"]),
 }
 
 
-# estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
-# kernels wrote into reused buffers and made again once cos and sin came
-# from one half-angle tangent; 400 000 samples in 10 batches make one task
-# per batch, 20 000 in 20 batches several batches per task.
+# estimate_icf at seed 1618 as float.hex of (value, stderr), made once each
+# draw was averaged over theta's reflections; 400 000 samples in 10 batches
+# make one task per batch, 20 000 in 20 batches several batches per task.
 PINNED_POINTS = {
-    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a286p-4"),
-    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15bp-1"),
-    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f1cp-8"),
-    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512dp+1", "0x1.e7a81de7dc20ap-7"),
+    ("thermal-4-width", 400_000, 10): ("0x1.2cce4a816170ap+3", "0x1.48e531cba7963p-4"),
+    ("thermal-4-width", 20_000, 20): ("0x1.2f0625d419fa3p+3", "0x1.4c514ac8fd7bep-2"),
+    ("coherent-3", 400_000, 10): ("0x1.225802f3fc999p+1", "0x1.86bba4b3c560bp-10"),
+    ("coherent-3", 20_000, 20): ("0x1.20753abe71698p+1", "0x1.2017fdbe5897ap-7"),
     ("thermal-1", 400_000, 10): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("thermal-1", 20_000, 20): ("0x1.0000000000000p+0", "0x0.0p+0"),
 }
 
-# estimate_icf at seed 1618 as float.hex of (value, stderr), made before the
-# kernels wrote into reused buffers, while cos and sin came from numpy.
+# estimate_icf at seed 1618 as float.hex of (value, stderr), made as
+# PINNED_SCANS_LIBM, from numpy's cos and sin.
 PINNED_POINTS_LIBM = {
-    ("thermal-4-width", 400_000, 10): ("0x1.2b3878ef4e98bp+3", "0x1.3f1cb8be6a29ap-4"),
-    ("thermal-4-width", 20_000, 20): ("0x1.337025d3418dap+3", "0x1.4669f0282f15cp-1"),
-    ("coherent-3", 400_000, 10): ("0x1.225c689faa6c0p+1", "0x1.101be0eca4f21p-8"),
-    ("coherent-3", 20_000, 20): ("0x1.1e9a9b27a512cp+1", "0x1.e7a81de7dc218p-7"),
+    ("thermal-4-width", 400_000, 10): ("0x1.2cce4a816170ap+3", "0x1.48e531cba7963p-4"),
+    ("thermal-4-width", 20_000, 20): ("0x1.2f0625d419fa3p+3", "0x1.4c514ac8fd7bdp-2"),
+    ("coherent-3", 400_000, 10): ("0x1.225802f3fc999p+1", "0x1.86bba4b3c562bp-10"),
+    ("coherent-3", 20_000, 20): ("0x1.20753abe71698p+1", "0x1.2017fdbe5897dp-7"),
     ("thermal-1", 400_000, 10): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("thermal-1", 20_000, 20): ("0x1.0000000000000p+0", "0x0.0p+0"),
 }
@@ -557,24 +591,17 @@ class TestWorkBuffers:
         assert faults < 64 * 50
 
 
-# The first 16 hex digits of the sha256 of the bytes that _task_sums (at
-# TASK_DELTAS) and _power_sums (orders 3 and 4) return, at the batches of
-# spawn_seeds(29, batches), as (task 4, task 3, power 3, power 4); made once
-# cos and sin came from one half-angle tangent, from new buffers.  Tasks of
-# 1 x 50 000, 16 x 1000 and 3 x 7001 samples.
+# The first 16 hex digits of the sha256 of the bytes that _even_sums returns
+# at orders 3 and 4, at the batches of spawn_seeds(29, batches); made once
+# each draw was averaged over theta's reflections, from new buffers.  Tasks
+# of 1 x 50 000, 16 x 1000 and 3 x 7001 samples.
 PINNED_TASK_SUMS = {
-    ("thermal-width", 1, 50000): ("0442e910af306790", "3dadc8e9cf701ef0",
-                                  "861bcf3fdf60278b", "84eee85d4d02bfc8"),
-    ("thermal-width", 16, 1000): ("f29baea2547c08e2", "93824110146b7d3d",
-                                  "45dd3f708041dac0", "9b7d46144d7a8809"),
-    ("thermal-width", 3, 7001): ("c9fece662a45190f", "523d969441853a10",
-                                 "8b9ef3232c880c23", "3ca142dc0220fbfe"),
-    ("coherent", 1, 50000): ("4a0ec68982057064", "6a7f3952cb6487af",
-                             "25e06f2a7f51e173", "deb54d3d9298c165"),
-    ("coherent", 16, 1000): ("8f93dc9ae4e3e4ab", "33231fb8964fad6d",
-                             "8fd590b833c66a9f", "4fffd97336a8c43e"),
-    ("coherent", 3, 7001): ("4392578c6e4a36e2", "60a455201cc8d70a",
-                            "0284b3b8538b168c", "bb0559e55a3dbb9f"),
+    ("thermal-width", 1, 50000): ("7df2b5904cf9ead7", "dbad07dc0b78842a"),
+    ("thermal-width", 16, 1000): ("0c7fe6ff24de79f8", "189f5d56c56ff810"),
+    ("thermal-width", 3, 7001): ("9386585f40e8c012", "d1bb890a797bc40a"),
+    ("coherent", 1, 50000): ("6ac582fb3e870f7e", "502408e3050860cc"),
+    ("coherent", 16, 1000): ("a6011cabc84bfd7f", "596cc12ab922d45e"),
+    ("coherent", 3, 7001): ("1120bab69e264c77", "6d6335346a4223a8"),
 }
 TASK_MODELS = {"thermal-width": THERMAL_W, "coherent": COHERENT}
 TASK_DELTAS = (np.array([0.9, 0.0, -0.9, 1.7]), np.array([0.4, 0.0, -0.4]))
@@ -593,11 +620,9 @@ class TestBufferReuse:
 
     @pytest.mark.parametrize("case", list(PINNED_TASK_SUMS), ids=lambda c: "-".join(map(str, c)))
     def test_task_sums_match_pinned_bits(self, case):
-        from icfsim.montecarlo import _power_sums, _task_sums
         name, batches, size = case
         model, seeds = TASK_MODELS[name], spawn_seeds(29, batches)
-        kernels = [partial(_task_sums, model, delta) for delta in TASK_DELTAS]
-        kernels += [partial(_power_sums, model, order) for order in (3, 4)]
+        kernels = [partial(_even_sums, model, order) for order in (3, 4)]
         for kernel, pinned in zip(kernels, PINNED_TASK_SUMS[case], strict=True):
             work = threading.local()
             # new buffers, a thread's new buffers, then that thread's reused ones
@@ -605,31 +630,39 @@ class TestBufferReuse:
                 assert sums_digest(kernel(seeds, size, w)) == pinned
 
     def test_no_detectors(self):
-        from icfsim.montecarlo import _task_sums
-        prod, sums = _task_sums(THERMAL, np.empty(0), spawn_seeds(3, 2), 1000)
+        prod, sums = point_sums(THERMAL, np.empty(0), spawn_seeds(3, 2), 1000)
         assert prod.tolist() == [1000.0, 1000.0] and sums.shape == (2, 0)
+        est = estimate_icf(THERMAL, [], 20_000, n_batches=20, seed=3)
+        assert (est.value, est.stderr) == (1.0, 0.0)
 
 
 class TestOneDetectorRule:
-    """``detector_intensities`` and ``_task_sums`` form each detector's
-    intensity by the one rule of ``_detector_factors``, to the bit."""
+    """``detector_intensities``, averaged over theta's reflections, and the
+    even kernel form each detector's intensity by the one rule of
+    ``_detector_factors``."""
 
     @pytest.mark.parametrize("name", list(TASK_MODELS))
     @pytest.mark.parametrize("delta", [np.array([0.7]), *TASK_DELTAS[::-1]],
                              ids=lambda d: f"{len(d)}-detectors")
     def test_rows_sum_to_task_sums(self, name, delta):
-        from icfsim.montecarlo import _task_sums, detector_intensities
         model, seeds, size = TASK_MODELS[name], spawn_seeds(31, 1), 50_000
-        prod, sums = _task_sums(model, delta, seeds, size)
-        rows = detector_intensities(model, delta,
-                                    *sample_batch(model, rng_from_seed(seeds[0]), size))
-        assert rows.sum(-1).tolist() == sums[0].tolist()
-        assert np.prod(rows, 0).sum() == prod[0]
+        prod, sums = point_sums(model, delta, seeds, size)
+        direct_prod, direct_sums = reflected_sums(model, [delta], seeds, size)
+        np.testing.assert_allclose(prod, direct_prod[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sums, direct_sums[:, 0], rtol=1e-12, atol=0)
+        # one detector: the average leaves base, the product's only factor
+        if len(delta) == 1:
+            ia, ib, _ = sample_batch(model, rng_from_seed(seeds[0]), size)
+            assert prod.tolist() == sums[:, 0].tolist() == [(ia + ib).sum()]
 
 
 class TestRepin:
-    """The pins made with ``field_terms``' half-angle tangent stay within
-    rounding of those made with numpy's cos and sin."""
+    """The pins made with c^2 and s^2 from one tangent stay within rounding
+    of those made with numpy's cos and sin."""
+
+    # the coherent stderrs at (phi, 0, -phi), phi = 2 pi/3 and 4 pi/3, where
+    # the reflection average is exact and both pins are rounding noise
+    EXACT = {("coherent", 3, "symmetric_opposite"): (1, 2)}
 
     @staticmethod
     def assert_close(new, old):
@@ -639,8 +672,14 @@ class TestRepin:
 
     @pytest.mark.parametrize("case", list(PINNED_SCANS), ids=lambda c: "-".join(map(str, c)))
     def test_scan_pins_within_rounding_of_libm(self, case):
-        for new, old in zip(PINNED_SCANS[case], PINNED_SCANS_LIBM[case], strict=True):
-            self.assert_close(new, old)
+        (values, stderrs), (old_values, old_stderrs) = PINNED_SCANS[case], PINNED_SCANS_LIBM[case]
+        self.assert_close(values, old_values)
+        exact = self.EXACT.get(case, ())
+        for p in exact:
+            for pin_values, pin_stderrs in (PINNED_SCANS[case], PINNED_SCANS_LIBM[case]):
+                assert float.fromhex(pin_stderrs[p]) < 1e-15 * float.fromhex(pin_values[p])
+        keep = [p for p in range(len(stderrs)) if p not in exact]
+        self.assert_close([stderrs[p] for p in keep], [old_stderrs[p] for p in keep])
 
     @pytest.mark.parametrize("case", list(PINNED_POINTS), ids=lambda c: "-".join(map(str, c)))
     def test_point_pins_within_rounding_of_libm(self, case):
