@@ -206,11 +206,14 @@ class InterferencePattern:
 
     def visibility_stderr(self) -> float | None:
         """Standard error of the visibility (None without stderrs), propagated
-        from the stderrs of the largest and smallest values as if independent.
+        from the stderrs of the largest and smallest values as if independent;
+        0 when the largest and smallest are one point (every value equal).
         """
         if self.stderrs is None:
             return None
         i_max, i_min = int(np.argmax(self.values)), int(np.argmin(self.values))
+        if i_max == i_min:
+            return 0.0
         vmax, vmin = self.values[i_max], self.values[i_min]
         s = (vmax + vmin) ** 2
         return float(math.hypot(2.0 * vmin * self.stderrs[i_max] / s,

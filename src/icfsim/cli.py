@@ -291,22 +291,17 @@ def _scan_pattern(opts: dict) -> ScanPattern:
                        offset=opts.get("offset"))
 
 
-def _file_path(out: str) -> Path:
-    """``--out`` as a path; an ``out`` that names a directory is an error."""
+def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
+    """The file that ``--out`` names and its format, for every command that
+    writes a table (``process`` writes ``<stem>_<name><suffix>`` beside it):
+    the format is ``--format`` if given, else the .csv or .json suffix of
+    ``out``, else csv, and an ``out`` without such a suffix gains
+    ``.<format>``.  A ``--format`` that contradicts the suffix and an
+    ``out`` that names a directory are errors.
+    """
     path = Path(out)  # Path("res/").name is "res": check the raw string too
     if path.name in ("", "..") or out.endswith(("/", os.sep)):
         raise IcfSimError(f"--out {out} names a directory, not a file")
-    return path
-
-
-def _output_path(out: str, fmt: str | None) -> tuple[Path, str]:
-    """The file that ``--out`` names and its format, for every command that
-    writes a table: the format is ``--format`` if given, else the .csv or
-    .json suffix of ``out``, else csv, and an ``out`` without such a suffix
-    gains ``.<format>``.  A ``--format`` that contradicts the suffix and an
-    ``out`` that names a directory are errors.
-    """
-    path = _file_path(out)
     suffix = path.suffix.lower()[1:]
     if suffix not in ("csv", "json"):
         fmt = fmt or "csv"
@@ -461,7 +456,7 @@ def cmd_synth(opts: dict) -> int:
 
 
 def cmd_process(opts: dict) -> int:
-    _file_path(opts["out"])  # a prefix of the written files, checked before any read
+    out, fmt = _output_path(opts["out"], opts["format"])  # checked before any read
     reader = FrameReader(opts["stack"], fringe_period_px=opts["period_px"])
     roi = RoiSpec(*opts["roi"] or (), reference_column=opts["ref_col"]).fit(reader.shape)
     series = roi_average(reader, roi)
@@ -493,8 +488,7 @@ def cmd_process(opts: dict) -> int:
         print(f"{name} visibility = {pattern.visibility:.6f}"
               + ("" if err is None else f" +/- {err:.6f}"))
         patterns[name] = pattern
-    out, fmt = opts["out"], opts["format"]
-    written = [_write_pattern(pattern, *_output_path(f"{out}_{name}", fmt))
+    written = [_write_pattern(pattern, out.with_name(f"{out.stem}_{name}{out.suffix}"), fmt)
                for name, pattern in {"intensity": intensity, **patterns}.items()]
     for path in written:
         print(f"wrote {path}")
@@ -527,7 +521,7 @@ def main(argv=None) -> int:
     try:
         opts = _resolve(parser, argv)
         return _COMMANDS[opts["command"]][-1](opts)
-    except (IcfSimError, OSError) as exc:
+    except (IcfSimError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

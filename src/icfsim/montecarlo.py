@@ -46,7 +46,6 @@ from .errors import BadBatching
 from .sources import (
     SourceModel,
     coherence_envelope,
-    field_terms,
     rng_from_seed,
     sample_batch,
     spawn_seeds,
@@ -85,16 +84,10 @@ def _workspace(work, count: int, shape: tuple) -> list:
     return arrays
 
 
-def _draw(model: SourceModel, seeds: np.ndarray, ia, ib, theta):
-    """Sample batch k into row k of (ia, ib, theta) from the ``spawn_seeds`` row ``seeds[k]``."""
-    for k, words in enumerate(seeds):
-        sample_batch(model, rng_from_seed(words), ia.shape[1],
-                     out=(ia[k], ib[k], theta[k]))
-
-
 def _detector_factors(model: SourceModel, deltas):
-    """(kc, ks) = (E cos(delta), E sin(delta)), E the coherence envelope: in the
-    ``field_terms`` base, c and s, detector j at phase delta_j sees
+    """(kc, ks) = (E cos(delta), E sin(delta)), E the coherence envelope: with
+    base = Ia + Ib, c = A cos(theta), s = A sin(theta) and A = 2 sqrt(Ia Ib),
+    detector j at phase delta_j sees
     I_j = Ia + Ib + 2 sqrt(Ia Ib) E_j cos(theta + delta_j) = base + kc_j c - ks_j s."""
     env = coherence_envelope(model, deltas)
     return env * np.cos(deltas), env * np.sin(deltas)
@@ -105,10 +98,11 @@ def detector_intensities(model: SourceModel, delta, ia, ib, theta) -> np.ndarray
     shape (detectors, samples), from the draws ``ia``, ``ib`` and ``theta``,
     which are left unchanged.
     """
-    ia, ib, theta = (np.array(x, dtype=float) for x in (ia, ib, theta))
-    base, c, s = field_terms(ia, ib, theta, np.empty_like(ia))
+    ia, ib, theta = (np.asarray(x, dtype=float) for x in (ia, ib, theta))
+    amp = 2.0 * np.sqrt(ia * ib)
     kc, ks = _detector_factors(model, np.asarray(delta, dtype=float))
-    return base + np.multiply.outer(kc, c) - np.multiply.outer(ks, s)
+    return (ia + ib + np.multiply.outer(kc, amp * np.cos(theta))
+            - np.multiply.outer(ks, amp * np.sin(theta)))
 
 
 def _even_monomials(order: int) -> list:
@@ -128,7 +122,8 @@ def _even_sums(model: SourceModel, order: int, seeds: np.ndarray, size: int, wor
     """
     odd = order % 2
     ia, ib, theta, term, *extra = _workspace(work, 4 + odd, (len(seeds), size))
-    _draw(model, seeds, ia, ib, theta)
+    for k, words in enumerate(seeds):
+        sample_batch(model, rng_from_seed(words), size, out=(ia[k], ib[k], theta[k]))
     np.multiply(ia, ib, out=term)
     term *= 4.0  # A^2
     base = np.add(ia, ib, out=ia)
@@ -227,13 +222,13 @@ def run_tasks(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
-                workers: int) -> list[np.ndarray]:
-    """Run ``task_sums(seeds, size, work)`` over ``spawn_seeds(seed, n_batches)``,
-    the batches' state words, in runs of at most ``_TASK_SAMPLES // size``
-    (at least one) batches, through ``run_tasks``, and join the per-batch
-    rows it returns in batch order.
-    """
+def _estimate(model: SourceModel, deltas: np.ndarray, n_samples: int, n_batches: int,
+              seed: int | None, workers: int):
+    """Values and stderrs at phases ``deltas`` (points, detectors), every
+    point from the same draws: ``_even_sums`` over ``spawn_seeds(seed,
+    n_batches)``, the batches' state words, in runs of at most
+    ``_TASK_SAMPLES // size`` (at least one) batches through ``run_tasks``,
+    the per-batch rows joined in batch order."""
     batch_size = _check_batching(n_samples, n_batches)
     seeds = spawn_seeds(seed, n_batches)
     per_task = max(1, _TASK_SAMPLES // batch_size)
@@ -242,18 +237,9 @@ def _batch_sums(task_sums, n_samples: int, n_batches: int, seed: int | None,
     # short to overlap on two threads, so a second thread only adds waiting.
     if batch_size < 2 * _TASK_SAMPLES:
         workers = min(workers, 1)
-    run = partial(task_sums, size=batch_size, work=threading.local())
-    return [np.concatenate(parts) for parts in zip(*run_tasks(run, tasks, workers))]
-
-
-def _estimate(model: SourceModel, deltas: np.ndarray, n_samples: int, n_batches: int,
-              seed: int | None, workers: int):
-    """Values and stderrs at phases ``deltas`` (points, detectors), every
-    point from the same draws."""
-    sums = _batch_sums(partial(_even_sums, model, deltas.shape[1]), n_samples, n_batches,
-                       seed, workers)
-    return ratio_of_means(*_even_products(model, deltas, *sums), n_samples // n_batches,
-                          n_batches)
+    run = partial(_even_sums, model, deltas.shape[1], size=batch_size, work=threading.local())
+    sums = [np.concatenate(parts) for parts in zip(*run_tasks(run, tasks, workers))]
+    return ratio_of_means(*_even_products(model, deltas, *sums), batch_size, n_batches)
 
 
 def estimate_icf(model: SourceModel, delta, n_samples: int,

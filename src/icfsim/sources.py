@@ -230,25 +230,3 @@ def sample_batch(model: SourceModel, rng: np.random.Generator, size: int, out=No
     rng.random(out=theta)  # uniform(0, 2 pi) is 0 + 2 pi * random()
     theta *= 2.0 * np.pi
     return ia, ib, theta
-
-
-def field_terms(ia, ib, theta, amp):
-    """base = Ia + Ib, c = A cos(theta) and s = A sin(theta), A = 2 sqrt(Ia Ib),
-    written over ``ia``, ``ib`` and ``theta`` and returned in that order
-    (``amp`` is overwritten), with no new array, for
-    ``montecarlo.detector_intensities`` (the estimators need only c^2 and
-    s^2, which ``montecarlo._even_sums`` forms itself).  With t = tan(theta/2) and
-    q = 1 + t^2, c = A (1 - t^2)/q and s = 2 A t/q, one division each: at
-    A = 1 within 2**-52 of numpy's cos and sin for |theta| <= 1e4, and
-    exactly (A, 0) at theta = 0.
-    """
-    np.sqrt(np.multiply(ia, ib, out=amp), out=amp)
-    amp *= 2.0
-    np.add(ia, ib, out=ia)
-    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    np.subtract(1.0, np.multiply(t, t, out=ib), out=ib)
-    ib *= amp  # A (1 - t^2)
-    np.multiply(amp, t, out=amp)
-    amp *= 2.0  # A 2t
-    np.add(np.multiply(t, t, out=theta), 1.0, out=theta)  # q
-    return ia, np.divide(ib, theta, out=ib), np.divide(amp, theta, out=theta)

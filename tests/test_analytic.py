@@ -425,6 +425,14 @@ class TestPatternType:
         assert p.visibility_stderr() == pytest.approx(math.hypot(2 * 0.4 / 16, 6 * 0.2 / 16),
                                                       rel=1e-15)
 
+    @pytest.mark.parametrize("values", [[2.0], [2.0, 2.0], [2.0, 2.0, 2.0]])
+    def test_visibility_stderr_zero_for_a_flat_pattern(self, values):
+        # the largest and smallest values are one point, so V is 0 in every
+        # draw; propagating them as independent gave 2 * 2 * 0.3 / 16 * sqrt(2)
+        p = InterferencePattern(xs=np.arange(float(len(values))), values=np.array(values),
+                                stderrs=np.full(len(values), 0.3))
+        assert (p.visibility, p.visibility_stderr()) == (0.0, 0.0)
+
     def test_visibility_stderr_none_without_stderrs(self):
         p = InterferencePattern(xs=np.arange(2.0), values=np.array([2.0, 1.0]))
         assert p.visibility_stderr() is None

@@ -12,6 +12,8 @@ import icfsim.cli as cli
 from icfsim.cli import main
 from icfsim.errors import IcfSimError
 
+README = Path(__file__).parent.parent / "README.md"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -121,6 +123,29 @@ class TestMc:
         assert code == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("points", ["1", "2"])
+    def test_flat_pattern_visibility_has_no_error(self, tmp_path, capsys, points):
+        # one point, or points at 0 and 2 pi with the same draws, printed
+        # `visibility = 0.000000 +/- 0.000857` and `z = -954.57`
+        code, text, _ = run(capsys, "mc", "--grid-points", points,
+                            "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert text.splitlines()[:3] == [
+            "visibility = 0.000000 +/- 0.000000",
+            "classical limit (coherent, order 3) = 0.818181818",
+            "PASS: visibility within the classical bound (z = -inf)"]
+
+    def test_failed_allocation_exit_1(self, tmp_path, capsys):
+        # numpy's "Unable to allocate" ended in a traceback; the request
+        # fails at once, before any sample is drawn
+        out = tmp_path / "p.csv"
+        code, text, err = run(capsys, "mc", "--samples", str(10 ** 17), "--grid-points", "3",
+                              "--out", str(out))
+        assert (code, text) == (1, "")
+        assert err == ("error: Unable to allocate 7.11 PiB for an array with shape "
+                       "(1, 1000000000000000) and data type float64\n")
+        assert not any(tmp_path.iterdir())
+
     def test_coherent_order4_visibility(self, tmp_path, capsys):
         code, text, _ = run(capsys, "mc", "--order", "4", "--scheme",
                             "double-speed", "--out", str(tmp_path / "p.csv"))
@@ -207,13 +232,15 @@ class TestOutputPath:
         ["limits"],
         ["analytic", "--grid-points", "5"],
         ["mc", "--samples", "2000", "--batches", "10", "--grid-points", "3"],
+        ["process", "missing-stack"],
         ["limits", "--format", "json"],
-    ], ids=["limits", "analytic", "mc", "limits-without-out"])
+    ], ids=["limits", "analytic", "mc", "process", "limits-without-out"])
     def test_contradicting_format_exit_1_before_any_output(self, tmp_path, capsys,
                                                            monkeypatch, argv):
         # `limits --out t.csv --format json` wrote JSON into t.csv,
-        # `analytic --out a.csv --format json` wrote CSV, and `limits
-        # --format json` printed the text table and exited 0
+        # `analytic --out a.csv --format json` wrote CSV, `limits --format
+        # json` printed the text table and exited 0, and `process` read the
+        # stack (here a missing one) before it looked at --format
         monkeypatch.chdir(tmp_path)
         if "--format" in argv:
             code, text, err = run(capsys, *argv)
@@ -284,6 +311,25 @@ class TestOutputPath:
                  ("analytic", "csv"): "x_rad", ("limits", "csv"): "order"}
         assert out.read_text().startswith(heads[command, suffix[1:].lower()])
 
+    @pytest.mark.parametrize("out, fmt, suffix", [
+        ("run.csv", None, ".csv"), ("run.json", None, ".json"), ("run.csv", "csv", ".csv"),
+        ("run.json", "json", ".json"), ("run.CSV", "csv", ".CSV"), ("run", None, ".csv"),
+        ("run", "json", ".json")])
+    def test_process_writes_stem_name_suffix(self, tmp_path, capsys, out, fmt, suffix):
+        # `process --out run.json` wrote run.json_intensity.csv,
+        # run.json_g3.csv and run.json_g4.csv
+        stack = tmp_path / "stack"
+        run(capsys, "synth", "--frames", "24", "--frame-width", "96", "--frame-height", "3",
+            "--out", str(stack))
+        work = tmp_path / "work"
+        work.mkdir()
+        flags = [] if fmt is None else ["--format", fmt]
+        code, _, _ = run(capsys, "process", str(stack), "--out", str(work / out), *flags)
+        names = [f"run_{name}{suffix}" for name in ("g3", "g4", "intensity")]
+        assert code == 0 and sorted(p.name for p in work.iterdir()) == names
+        read = read_pattern_json if suffix == ".json" else read_pattern_csv
+        assert read(work / names[-1]).values.shape == (96,)  # the intensity profile
+
     def test_analytic_out_without_suffix_takes_the_format(self, tmp_path, capsys):
         code, _, _ = run(capsys, "analytic", "--grid-points", "5",
                          "--out", str(tmp_path / "a"), "--format", "json")
@@ -314,10 +360,13 @@ class TestMcVerdict:
     def test_default_run_passes_with_z_on_the_verdict_line(self, tmp_path, capsys):
         code, text, _ = run(capsys, "mc", "--out", str(tmp_path / "p.csv"))
         assert code == 0
-        assert text.splitlines()[:3] == [
+        lines = [
             "visibility = 0.818216 +/- 0.000200",
             "classical limit (coherent, order 3) = 0.818181818",
             "PASS: visibility within the classical bound (z = +0.17)"]
+        assert text.splitlines()[:3] == lines
+        # README shows this run as its example
+        assert "\n".join(lines) in README.read_text()
 
     def test_info_rate_small_when_the_truth_sits_at_the_limit(self):
         # coherent order 3 reaches 9/11 exactly, so z sits near 0 apart from

@@ -80,6 +80,7 @@ CASES = {
                                         ["process", "stack", "--ref-col", "10"]]),
     "process-batches-without-stderrs": ({}, [["synth", *_SMALL_STACK],
                                              ["process", "stack", "--batches", "20"]]),
+    "process-out-json": ({}, [["synth", *_SMALL_STACK], ["process", "stack", "--out", "run.json"]]),
     # exit 1: data errors
     "analytic-custom-without-moments": ({}, [["analytic", "--kind", "custom"]]),
     "analytic-scheme-order-mismatch": ({}, [["analytic", "--order", "4",

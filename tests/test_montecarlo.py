@@ -153,7 +153,7 @@ class TestDeterminism:
             assert serial == threaded
 
     @pytest.mark.parametrize("model", [THERMAL, SourceModel.coherent(coherence_width=1.5)])
-    def test_batch_sums_independent_of_task_split(self, model):
+    def test_point_sums_independent_of_task_split(self, model):
         delta = np.array([0.9, 0.0, -0.9, 1.7])
         seeds = spawned_words(61, 21)
         split = {}

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from icfsim.errors import (
 )
 from icfsim.constants import DEFAULT_SEED
 from icfsim.montecarlo import detector_intensities
-from icfsim.sources import field_terms, rng_from_seed, spawn_seeds
+from icfsim.sources import rng_from_seed, spawn_seeds
 
 
 def exponential_moment(k):
@@ -342,80 +341,6 @@ class TestDetectorIntensities:
         assert np.max(np.abs(got - direct) / (ia + ib)) < 1e-12
         for before, after in zip(inputs, (ia, ib, theta)):
             assert np.array_equal(before, after)
-
-
-def kernel(theta):
-    """(cos, sin) of ``theta`` from ``field_terms`` at amplitude 1 (Ia = Ib
-    = 1/2), on new arrays."""
-    theta = np.array(theta, dtype=float)
-    half = np.full_like(theta, 0.5)
-    _, c, s = field_terms(half, half.copy(), theta, np.empty_like(theta))
-    return c, s
-
-
-def assert_kernel_matches_numpy(theta):
-    """``field_terms``' cos and sin against numpy's, to 2**-52 absolute."""
-    c, s = kernel(theta)
-    assert np.max(np.abs(c - np.cos(theta))) <= 2.0 ** -52
-    assert np.max(np.abs(s - np.sin(theta))) <= 2.0 ** -52
-    assert np.max(np.abs(c * c + s * s - 1.0)) <= 2.0 ** -51
-
-
-class TestCosSin:
-    """cos and sin in ``field_terms`` on fixed inputs;
-    tests/test_cos_sin_property.py draws more."""
-
-    def test_seeded_draws_on_one_turn(self):
-        assert_kernel_matches_numpy(np.random.default_rng(21).random(1_000_000) * 2 * np.pi)
-
-    def test_every_table_node(self):
-        assert_kernel_matches_numpy(np.arange(256) * (2 * np.pi / 256))
-
-    def test_quadrant_points(self):
-        theta = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.nextafter(2 * np.pi, 0)])
-        assert_kernel_matches_numpy(theta)
-        c, s = kernel(theta[:1])
-        assert (c[0], s[0]) == (1.0, 0.0)
-
-    def test_value_independent_of_chunk_boundaries(self):
-        # numpy's loops run in blocks of SIMD lanes and a remainder, and may
-        # take unaligned or short arrays another way: a value must not
-        # depend on its offset in the array or on the array's length
-        theta = np.random.default_rng(22).uniform(-20.0, 20.0, 41_001)
-        c, s = kernel(theta)
-        for start in (0, 1, 3, 7, 8, 17):
-            for length in (1, 2, 5, 8, 13, 64, 1001):
-                one_c, one_s = kernel(theta[start:start + length])
-                assert np.array_equal(one_c, c[start:start + length])
-                assert np.array_equal(one_s, s[start:start + length])
-
-    def test_sine_may_overwrite_theta(self):
-        rng = np.random.default_rng(23)
-        ia, ib = rng.standard_exponential((2, 3, 5000))
-        theta = rng.random((3, 5000)) * 2 * np.pi
-        amp = 2 * np.sqrt(ia * ib)
-        expect = ia + ib, amp * np.cos(theta), amp * np.sin(theta)
-        arrays = ia, ib, theta
-        got = field_terms(*arrays, np.empty_like(theta))
-        # base, c and s are written over ia, ib and theta, in that order
-        assert all(g is a for g, a in zip(got, arrays, strict=True))
-        assert np.array_equal(got[0], expect[0])
-        # 2**-52 at A = 1, and a rounding of the product by A on each side
-        for g, e in zip(got[1:], expect[1:]):
-            assert np.max(np.abs(g - e) / amp) <= 2.0 ** -51
-
-    @pytest.mark.parametrize("size", [10, 24_577, 400_000])
-    def test_scratch_does_not_grow_with_size(self, size):
-        rng = np.random.default_rng(24)
-        arrays = rng.random((4, size))
-        tracemalloc.start()
-        try:
-            field_terms(*arrays)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # no array data: one array of 24 577 samples alone is 196 kB
-        assert peak <= 4096
 
 
 class TestSerialization:
